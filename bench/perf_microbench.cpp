@@ -25,6 +25,7 @@
 #include "core/analytic_tracer.h"
 #include "core/poincare.h"
 #include "core/simulate.h"
+#include "core/stability.h"
 #include "exec/parallel_for.h"
 #include "obs/tracing.h"
 #include "ode/hybrid.h"
@@ -118,6 +119,26 @@ void BM_AnalyticTracer(benchmark::State& state) {
   state.SetLabel("64 closed-form rounds");
 }
 BENCHMARK(BM_AnalyticTracer);
+
+// The per-cell closed-form verdict every stability map computes.  Arg 0:
+// the standard draft, whose spiral contracts by ~0.9985 per two rounds, so
+// the tracer stops after three.  Arg 1: the same plant with pm = 1 and
+// w = 0.02, contracting by only ~1 - 1.5e-7 per two rounds -- inside the
+// tracer's 1e-6 margin, so it walks all 256 rounds.
+void BM_AnalyzeStability(benchmark::State& state) {
+  core::BcnParams p = core::BcnParams::standard_draft();
+  if (state.range(0) == 1) {
+    p.pm = 1.0;
+    p.w = 0.02;
+  }
+  for (auto _ : state) {
+    const auto report = core::analyze_stability(p);
+    benchmark::DoNotOptimize(report.predicted_max_x);
+  }
+  state.SetLabel(state.range(0) == 1 ? "slow contraction, full walk"
+                                     : "standard draft");
+}
+BENCHMARK(BM_AnalyzeStability)->Arg(0)->Arg(1);
 
 void BM_PacketSimulatorMillisecond(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Ten gates:
+# Eleven gates:
 #  1. Thread safety: builds the tree under ThreadSanitizer
 #     (-DBCN_SANITIZE=thread) and runs the exec + analysis + obs + sim
 #     + service test suites, which exercise parallel_for / ThreadPool /
@@ -72,6 +72,12 @@
 #     (every non-URL link target must exist).  (The cache/protocol/
 #     server unit tests already ran under TSan in gate 1 as part of
 #     bcn_service_tests.)
+# 11. Temp-dir isolation: reruns the test cases that write files (bench
+#     diff, FlatJson, CSV, monitor post-mortems, SVG/gnuplot, Chrome
+#     trace export) twenty times each, eight at a time, in the regular
+#     build.  Each case writes under its own pid- and name-qualified
+#     temp directory, so concurrent cases must never see each other's
+#     files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -752,3 +758,16 @@ print(f"[check.sh] doc links valid: {checked} relative links "
 PY
 
 echo "[check.sh] service smoke clean ($SVC_JSON)"
+
+# --- temp-dir isolation -----------------------------------------------------
+# ctest runs every case as its own process; under -j8 the file-writing
+# cases of one suite run side by side, which a shared fixed temp path
+# would turn into a flake.
+cmake --build "$SMOKE_BUILD_DIR" -j \
+  --target bcn_common_tests bcn_obs_tests bcn_sim_tests bcn_plot_tests
+ISOLATION_TESTS='^(BenchDiffTest|FlatJsonTest|JsonWriterTest|CsvParseTest|CsvWriterTest|MonitorWiringTest|SvgTest|GnuplotTest)\.|^TracingTest\.ChromeTrace'
+(cd "$SMOKE_BUILD_DIR" && ctest -R "$ISOLATION_TESTS" -j8 \
+  --repeat until-fail:20 --output-on-failure) || {
+  echo "[check.sh] file-writing tests failed under repeated -j8 runs"; exit 1;
+}
+echo "[check.sh] temp-dir isolation clean (20 repeats at -j8)"

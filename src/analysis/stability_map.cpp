@@ -20,6 +20,8 @@ std::vector<MapCell> analytic_cells(const core::BcnParams& base,
                                     const std::vector<double>& gd_values,
                                     int threads) {
   const std::size_t cols = gd_values.size();
+  obs::TraceSpan span("analysis.map_analytic", "cells",
+                      static_cast<double>(gi_values.size() * cols));
   return exec::parallel_map<MapCell>(
       gi_values.size() * cols,
       [&](std::size_t idx) {

@@ -8,6 +8,24 @@
 // paper's H^{-1} inversions, e.g. T_i^1).  Stitching the rounds yields the
 // exact transient extrema max1/min1/max2 of Propositions 2-3 without any
 // numeric integration.
+//
+// Most callers only need those extrema, and extrema() reads them off the
+// first three rounds instead of walking all of them.  The argument:
+// inside each region the dynamics are linear, and both regions are
+// half-planes bounded by the switching line x + k y = 0, which passes
+// through the origin.  So the switched system is positively homogeneous:
+// the trajectory from s z is s times the trajectory from z, with the same
+// round durations, for every s > 0.  Every round after the first starts
+// on the switching line, on the half-line where the previous region's
+// flow leaves it, so round r + 2 starts at rho times round r's start
+// point, with rho = |x_{r+2}| / |x_r|, and replays round r scaled by rho.
+// Once rho = |x_3| / |x_1| < 1, rounds 3, 4, ... are copies of rounds 1
+// and 2 shrunk by rho, rho^2, ...: none can raise max_x or lower min_x.
+// extrema() stops there when rho <= 1 - 1e-6, read off both |x| and |y|
+// (equal in exact arithmetic); the margin absorbs the rounding of the
+// closed-form steps, so the result is bit-identical to trace()'s.
+// Otherwise (rho near or above 1, a terminal node round, convergence) it
+// walks exactly as far as trace() does.
 #pragma once
 
 #include <optional>
@@ -56,6 +74,13 @@ struct AnalyticTrace {
   std::optional<double> contraction_ratio() const;
 };
 
+// What extrema() returns: trace()'s max_x / min_x without the rounds.
+struct AnalyticExtrema {
+  double max_x = 0.0;
+  double min_x = 0.0;
+  int rounds = 0;  // rounds walked before the extrema were final
+};
+
 class AnalyticTracer {
  public:
   // The tracer always works at the Linearized model level; `params` gives
@@ -67,6 +92,10 @@ class AnalyticTracer {
   AnalyticTrace trace_from(Vec2 z0,
                            const AnalyticTraceOptions& options = {}) const;
 
+  // trace(options).max_x / min_x, bit for bit, without recording rounds;
+  // stops once the spiral provably contracts (see the file comment).
+  AnalyticExtrema extrema(const AnalyticTraceOptions& options = {}) const;
+
   // Samples the closed-form trace into a polyline for plotting /
   // cross-validation against numeric integration.  `points_per_round`
   // samples are placed uniformly in time inside each round; open-ended
@@ -77,7 +106,26 @@ class AnalyticTracer {
   const BcnParams& params() const { return params_; }
 
  private:
+  // Where a walk stands between two rounds.
+  struct Walk {
+    Vec2 z;
+    Region region = Region::Increase;
+    double t_abs = 0.0;
+    double max_x = 0.0;
+    double min_x = 0.0;
+    bool converged = false;
+    bool terminated_in_region = false;
+  };
+
+  Walk start(Vec2 z0) const;
+  // Walks one round from `walk` and returns it; nullopt, with no round
+  // taken, once the walk has converged or ended in a terminal round.
+  std::optional<RoundRecord> step(Walk& walk, double convergence_tol) const;
+
   BcnParams params_;
+  double k_;  // switching-line slope
+  control::SecondOrderSystem increase_;
+  control::SecondOrderSystem decrease_;
 };
 
 }  // namespace bcn::core

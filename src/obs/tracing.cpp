@@ -136,6 +136,8 @@ void TraceSpan::begin(const char* name) {
   thread_buffer();  // register this thread before the clock read
   active_ = true;
   name_ = name;
+  n_args_ = 0;
+  child_ns_ = 0;
   parent_ = state.current;
   depth_ = state.depth;
   state.current = this;

@@ -150,6 +150,20 @@ class TraceSpan {
 
   bool active() const { return active_; }
 
+  // Records the span now instead of at destruction; a no-op when inactive.
+  void close() {
+    if (active_) end();
+  }
+
+  // Closes the span and opens `name` in its place, for back-to-back
+  // phases of one scope (the new span nests where the old one did).
+  void restart(const char* name, const char* key, double value) {
+    close();
+    if (!tracing_enabled()) return;
+    begin(name);
+    arg(key, value);
+  }
+
  private:
   void begin(const char* name);
   void end();

@@ -97,15 +97,10 @@ HybridResult integrate_hybrid(const HybridSystem& system, double t0, Vec2 z0,
   // One child span per inter-switch segment: a Perfetto view of a hybrid
   // run shows how wall-clock splits across the mode episodes.  Strict
   // nesting holds — the segment span is always the innermost open span
-  // on this thread whenever it is re-emplaced.
-  std::optional<obs::TraceSpan> segment;
-  if (obs::tracing_enabled()) {
-    segment.emplace("ode.hybrid_segment", "mode", mode);
-  }
+  // on this thread whenever it is restarted.
+  obs::TraceSpan segment("ode.hybrid_segment", "mode", mode);
   const auto next_segment = [&](int new_mode) {
-    if (!obs::tracing_enabled()) return;
-    segment.reset();
-    segment.emplace("ode.hybrid_segment", "mode", new_mode);
+    segment.restart("ode.hybrid_segment", "mode", new_mode);
   };
   for (std::size_t i = 0; i < options.max_steps && t < t1; ++i) {
     const Dopri5Step step = steppers[mode].trial_step(t, z, k1, h);
@@ -127,7 +122,7 @@ HybridResult integrate_hybrid(const HybridSystem& system, double t0, Vec2 z0,
           "ode: non-finite state after step from t=%.9g (mode %d); "
           "aborting integration",
           t, mode);
-      segment.reset();
+      segment.close();
       return result;
     }
     const DenseOutput dense(t, h, step.rcont);
@@ -221,7 +216,7 @@ HybridResult integrate_hybrid(const HybridSystem& system, double t0, Vec2 z0,
     result.trajectory.push_back(t, z);
   }
   result.completed = t >= t1 - 1e-12 * std::max(1.0, std::abs(t1));
-  segment.reset();
+  segment.close();
   call_span.arg("accepted", static_cast<double>(result.steps_accepted));
   call_span.arg("switches", static_cast<double>(result.switches.size()));
   return result;

@@ -1,8 +1,11 @@
 #include "analysis/stability_map.h"
 
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "analysis/sweep.h"
+#include "obs/tracing.h"
 
 namespace bcn::analysis {
 namespace {
@@ -204,6 +207,46 @@ TEST(StabilityMapTest, AdaptiveModeMatchesBatchWithFewerIntegrations) {
   // Batch mode integrates everything.
   EXPECT_EQ(batch.integrated_cells, batch.cells.size());
   for (const auto& c : batch.cells) EXPECT_TRUE(c.integrated);
+}
+
+TEST(StabilityMapTest, BatchAndAdaptiveMapsTraceOneAnalyticPass) {
+  // The closed-form pass shows as one analysis.map_analytic span per
+  // batch/adaptive map, carrying the cell count, next to the map's
+  // analysis.map_wave spans; scalar maps analyze inside their per-cell
+  // spans and emit none.
+  core::BcnParams base = core::BcnParams::standard_draft();
+  base.buffer = 12e6;
+  base.qsc = 11e6;
+  const auto gi = logspace(0.25, 16.0, 9);
+  const auto gd = logspace(1.0 / 512.0, 0.5, 7);
+  obs::tracing_disable();
+  obs::tracing_clear();
+  for (const MapMode mode :
+       {MapMode::Batch, MapMode::Adaptive, MapMode::Scalar}) {
+    StabilityMapOptions opts;
+    opts.numeric_level = core::ModelLevel::Linearized;
+    opts.mode = mode;
+    obs::tracing_enable();
+    compute_stability_map(base, gi, gd, opts);
+    obs::tracing_disable();
+    obs::tracing_drain();
+    int analytic = 0;
+    int waves = 0;
+    for (const obs::SpanRecord& span : obs::tracing_spans()) {
+      const std::string_view name = span.name;
+      if (name == "analysis.map_wave") ++waves;
+      if (name != "analysis.map_analytic") continue;
+      ++analytic;
+      ASSERT_EQ(span.n_args, 1u);
+      EXPECT_EQ(std::string_view(span.args[0].key), "cells");
+      EXPECT_EQ(span.args[0].value, 63.0);
+    }
+    EXPECT_EQ(analytic, mode == MapMode::Scalar ? 0 : 1) << to_string(mode);
+    if (mode == MapMode::Adaptive) {
+      EXPECT_GT(waves, 0);
+    }
+    obs::tracing_clear();
+  }
 }
 
 TEST(StabilityMapTest, ClippedLevelFallsBackToScalar) {

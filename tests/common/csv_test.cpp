@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_dir.h"
+
 namespace bcn {
 namespace {
 
@@ -78,7 +80,7 @@ TEST(CsvParseTest, EmptyInput) {
 }
 
 TEST(CsvParseTest, ReadCsvFileRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "bcn_csv_rt";
+  const auto dir = testutil::test_temp_dir("bcn_csv_rt");
   std::filesystem::remove_all(dir);
   const auto path = dir / "t.csv";
   CsvWriter w({"x"});
@@ -92,7 +94,7 @@ TEST(CsvParseTest, ReadCsvFileRoundTrip) {
 }
 
 TEST(CsvWriterTest, WritesFileCreatingDirectories) {
-  const auto dir = std::filesystem::temp_directory_path() / "bcn_csv_test";
+  const auto dir = testutil::test_temp_dir("bcn_csv_test");
   std::filesystem::remove_all(dir);
   const auto path = dir / "nested" / "out.csv";
   CsvWriter w({"x"});

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_dir.h"
+
 namespace bcn {
 namespace {
 
@@ -56,8 +58,7 @@ TEST(JsonWriterTest, NumberArray) {
 }
 
 TEST(JsonWriterTest, WriteFileCreatesParentDirs) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "bcn_json_test" / "nested";
+  const auto dir = testutil::test_temp_dir("bcn_json_test") / "nested";
   std::filesystem::remove_all(dir.parent_path());
   JsonWriter w;
   w.add("k", 1);
@@ -117,8 +118,7 @@ TEST(FlatJsonTest, RejectsMalformedInput) {
 }
 
 TEST(FlatJsonTest, LoadReadsFilesAndFailsCleanly) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "bcn_flatjson_test";
+  const auto dir = testutil::test_temp_dir("bcn_flatjson_test");
   std::filesystem::remove_all(dir);
   JsonWriter w;
   w.add("v", 3.5);

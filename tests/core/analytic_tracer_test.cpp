@@ -1,9 +1,14 @@
 #include "core/analytic_tracer.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "analysis/sweep.h"
 #include "common/rng.h"
 #include "test_params.h"
 
@@ -143,6 +148,145 @@ TEST(AnalyticTracerTest, SampleCoversAllRounds) {
   // Samples are time-ordered.
   for (std::size_t i = 1; i < sampled.size(); ++i) {
     EXPECT_GE(sampled[i].t, sampled[i - 1].t - 1e-15);
+  }
+}
+
+// --- extrema(): trace()'s max_x / min_x without the rounds ------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Checks extrema() against trace() bit for bit on one cell and returns
+// the number of rounds extrema() walked.
+int expect_extrema_match_trace(const BcnParams& p) {
+  const AnalyticTracer tracer(p);
+  const AnalyticTrace trace = tracer.trace();
+  const AnalyticExtrema fast = tracer.extrema();
+  EXPECT_TRUE(same_bits(fast.max_x, trace.max_x) &&
+              same_bits(fast.min_x, trace.min_x))
+      << p.describe() << " trace [" << trace.min_x << ", " << trace.max_x
+      << "] extrema [" << fast.min_x << ", " << fast.max_x << "]";
+  EXPECT_LE(fast.rounds, static_cast<int>(trace.rounds.size()));
+  return fast.rounds;
+}
+
+// z_3 / z_1 per component: the scale factor between the round entries
+// that bound extrema()'s early stop, as measured from trace()'s rounds.
+Vec2 round_entry_ratio(const AnalyticTrace& trace) {
+  const Vec2 z1 = trace.rounds.at(1).z_start;
+  const Vec2 z3 = trace.rounds.at(3).z_start;
+  return {z3.x / z1.x, z3.y / z1.y};
+}
+
+TEST(AnalyticTracerExtremaTest, MatchesTraceOnFluidMapStrata) {
+  // The fluid_map benchmark's six plants: buffer over set point and grid
+  // per stratum, q0 / pm / B jittered by the seed, gains on log axes.
+  struct Stratum {
+    double buffer_over_q0;
+    int grid;
+  };
+  constexpr Stratum kStrata[] = {
+      {16.0, 65}, {8.0, 65}, {4.8, 65}, {2.0, 65}, {2.0, 33}, {2.0, 17},
+  };
+  Rng rng(1);
+  int cells = 0;
+  int stopped_early = 0;
+  for (const Stratum& s : kStrata) {
+    BcnParams p = BcnParams::standard_draft();
+    p.q0 = 2.5e6 * (0.9 + 0.2 * rng.uniform());
+    p.pm = 0.01 * (0.9 + 0.2 * rng.uniform());
+    p.buffer = p.q0 * s.buffer_over_q0 * (0.95 + 0.1 * rng.uniform());
+    p.qsc = std::min(0.9 * p.buffer, p.buffer - 1.0);
+    for (const double gi : analysis::logspace(0.125, 32.0, s.grid)) {
+      for (const double gd : analysis::logspace(1.0 / 1024.0, 0.5, s.grid)) {
+        p.gi = gi;
+        p.gd = gd;
+        ++cells;
+        if (expect_extrema_match_trace(p) <= 4) ++stopped_early;
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_EQ(cells, 4 * 65 * 65 + 33 * 33 + 17 * 17);
+  // Every strata cell is a contracting Case 1 spiral.
+  EXPECT_EQ(stopped_early, cells);
+}
+
+TEST(AnalyticTracerExtremaTest, MatchesTraceOnLogUniformSweepOverCases1To4) {
+  Rng rng(20240611);
+  const auto log_uniform = [&rng](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.uniform());
+  };
+  std::array<int, 5> per_case{};
+  for (int i = 0; i < 4000; ++i) {
+    BcnParams p;
+    p.gi = log_uniform(0.01, 100.0);
+    p.gd = log_uniform(1e-5, 1.0);
+    p.pm = log_uniform(1e-5, 0.1);
+    p.w = log_uniform(0.5, 32.0);
+    p.num_sources = std::round(log_uniform(1.0, 1000.0));
+    p.q0 = log_uniform(1e4, 1e7);
+    p.capacity = log_uniform(1e8, 1e10);
+    p.ru = log_uniform(1e5, 1e8);
+    p.buffer = p.q0 * log_uniform(1.1, 20.0);
+    p.qsc = 0.5 * (p.q0 + p.buffer);
+    ASSERT_TRUE(p.is_valid()) << p.describe();
+    ++per_case[static_cast<int>(classify_case(p).paper_case)];
+    expect_extrema_match_trace(p);
+    if (HasFailure()) return;
+  }
+  // The sweep must reach every regime the tracer distinguishes.
+  for (const PaperCase c : {PaperCase::Case1, PaperCase::Case2,
+                            PaperCase::Case3, PaperCase::Case4}) {
+    EXPECT_GE(per_case[static_cast<int>(c)], 20) << to_string(c);
+  }
+}
+
+TEST(AnalyticTracerExtremaTest, StopsWithinFourRoundsOnContractingSpiral) {
+  const BcnParams p = case1_params();
+  ASSERT_EQ(classify_case(p).paper_case, PaperCase::Case1);
+  const AnalyticTrace trace = AnalyticTracer(p).trace();
+  ASSERT_FALSE(trace.converged);  // trace() walks all 256 rounds
+  ASSERT_LT(round_entry_ratio(trace).x, 0.999);
+  EXPECT_LE(expect_extrema_match_trace(p), 4);
+}
+
+TEST(AnalyticTracerExtremaTest, WalksFullLengthWhenRatioNearOrAboveOne) {
+  // The standard draft with a tiny k = w / (pm C) barely contracts per
+  // round: its true ratio, read off y, sits inside the 1e-6 margin.  On
+  // the switching line x = -k y, so x is a tiny difference and its ratio
+  // can be off by far more: above 1 in the first cell, below 1 - 1e-3 in
+  // the second (true ratio 1 - 1.5e-12).  The third reads the true ratio
+  // off both.  All three must walk as far as trace().
+  struct Cell {
+    double pm, w, x_lo, x_hi;
+  };
+  for (const Cell& c : {Cell{1.0, 0.0009765625, 1.0, 1.01},
+                        Cell{0.5, 1e-7, 0.99, 1.0 - 1e-6},
+                        Cell{1.0, 0.02, 1.0 - 1e-6, 1.0}}) {
+    BcnParams p = case1_params();
+    p.pm = c.pm;
+    p.w = c.w;
+    const AnalyticTrace trace = AnalyticTracer(p).trace();
+    const Vec2 ratio = round_entry_ratio(trace);
+    EXPECT_GT(ratio.x, c.x_lo) << c.w;
+    EXPECT_LT(ratio.x, c.x_hi) << c.w;
+    EXPECT_GT(ratio.y, 1.0 - 1e-6) << c.w;
+    EXPECT_LT(ratio.y, 1.0) << c.w;
+    EXPECT_EQ(expect_extrema_match_trace(p),
+              static_cast<int>(trace.rounds.size()));
+  }
+}
+
+TEST(AnalyticTracerExtremaTest, TerminalNodeRoundsWalkLikeTrace) {
+  // Cases 2-4 end in a node round that never crosses back, by round 2.
+  for (const BcnParams& p :
+       {case2_params(), case3_params(), case4_params()}) {
+    const AnalyticTrace trace = AnalyticTracer(p).trace();
+    ASSERT_TRUE(trace.terminated_in_region);
+    EXPECT_EQ(expect_extrema_match_trace(p),
+              static_cast<int>(trace.rounds.size()));
   }
 }
 

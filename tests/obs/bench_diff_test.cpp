@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "temp_dir.h"
 
 namespace bcn::obs {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 class BenchDiffTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "bcn_bench_diff_test";
+    dir_ = testutil::test_temp_dir("bcn_bench_diff_test");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

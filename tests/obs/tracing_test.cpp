@@ -15,6 +15,7 @@
 
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
+#include "temp_dir.h"
 
 namespace bcn::obs {
 namespace {
@@ -97,6 +98,34 @@ TEST_F(TracingTest, SelfTimeExcludesChildren) {
   // And the child really did spin for ~2 ms while the parent tail was
   // ~0.5 ms, so exclusive must be well under inclusive.
   EXPECT_LT(outer.self_ns, outer.dur_ns / 2);
+}
+
+TEST_F(TracingTest, RestartReplacesTheSpanInPlaceAndCloseEndsIt) {
+  tracing_enable();
+  {
+    TraceSpan outer("test.outer");
+    TraceSpan phase("test.phase", "mode", 0.0);
+    { TraceSpan child("test.child"); }
+    phase.restart("test.phase", "mode", 1.0);
+    phase.close();
+    phase.close();  // idempotent; the destructor records nothing more
+  }
+  tracing_drain();
+  const auto& spans = tracing_spans();
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_STREQ(spans[0].name, "test.child");
+  EXPECT_EQ(spans[0].depth, 2);
+  for (const std::size_t i : {1u, 2u}) {
+    EXPECT_STREQ(spans[i].name, "test.phase");
+    EXPECT_EQ(spans[i].depth, 1);
+    ASSERT_EQ(spans[i].n_args, 1u);
+    EXPECT_EQ(spans[i].args[0].value, static_cast<double>(i - 1));
+  }
+  // The restarted span starts fresh: none of the first one's child time.
+  EXPECT_EQ(spans[1].self_ns, spans[1].dur_ns - spans[0].dur_ns);
+  EXPECT_EQ(spans[2].self_ns, spans[2].dur_ns);
+  EXPECT_STREQ(spans[3].name, "test.outer");
+  EXPECT_EQ(spans[3].depth, 0);
 }
 
 TEST_F(TracingTest, ArgsAreCappedAtCapacity) {
@@ -222,8 +251,7 @@ TEST_F(TracingTest, ChromeTraceExportIsBalancedSortedAndComplete) {
       8, [](std::size_t) { TraceSpan span("test.work"); }, opts);
   tracing_drain();
 
-  const auto path = std::filesystem::temp_directory_path() /
-                    "bcn_tracing_test" / "trace.json";
+  const auto path = testutil::test_temp_dir("bcn_tracing_test") / "trace.json";
   std::filesystem::remove_all(path.parent_path());
   ASSERT_TRUE(write_chrome_trace(path, tracing_spans()));
 
@@ -263,7 +291,9 @@ TEST_F(TracingTest, ChromeTraceExportIsBalancedSortedAndComplete) {
                 line.find("\"name\": \"exec.") != std::string::npos)
         << line;
     // Monotonic start times within each thread lane.
-    if (last_ts.count(tid)) EXPECT_GE(ts, last_ts[tid]);
+    if (last_ts.count(tid)) {
+      EXPECT_GE(ts, last_ts[tid]);
+    }
     last_ts[tid] = ts;
   }
   // 2 nested + 8 work spans + the exec.parallel_for/exec.chunk spans.

@@ -6,6 +6,7 @@
 #include "plot/ascii.h"
 #include "plot/gnuplot.h"
 #include "plot/svg.h"
+#include "temp_dir.h"
 
 namespace bcn::plot {
 namespace {
@@ -82,7 +83,7 @@ TEST(SvgTest, OutOfRangeRefLinesSkipped) {
 }
 
 TEST(SvgTest, WriteCreatesFile) {
-  const auto dir = std::filesystem::temp_directory_path() / "bcn_svg_test";
+  const auto dir = testutil::test_temp_dir("bcn_svg_test");
   std::filesystem::remove_all(dir);
   const auto path = dir / "sub" / "plot.svg";
   ASSERT_TRUE(write_svg(path, {wave()}));
@@ -91,7 +92,7 @@ TEST(SvgTest, WriteCreatesFile) {
 }
 
 TEST(GnuplotTest, WritesDatAndScript) {
-  const auto dir = std::filesystem::temp_directory_path() / "bcn_gp_test";
+  const auto dir = testutil::test_temp_dir("bcn_gp_test");
   std::filesystem::remove_all(dir);
   GnuplotOptions opts;
   opts.title = "T";

@@ -21,6 +21,7 @@
 #include "analysis/crossval.h"
 #include "obs/postmortem.h"
 #include "sim/network.h"
+#include "temp_dir.h"
 
 namespace bcn::sim {
 namespace {
@@ -132,7 +133,7 @@ std::string read_file(const std::filesystem::path& path) {
 
 TEST(MonitorWiringTest, PostmortemBundlesAreByteIdenticalAcrossReruns) {
   const std::filesystem::path base =
-      std::filesystem::temp_directory_path() / "bcn_monitor_wiring_test";
+      testutil::test_temp_dir("bcn_monitor_wiring_test");
   std::filesystem::remove_all(base);
 
   std::string bundles[2];
