@@ -1,7 +1,11 @@
-// The core-switch congestion point (paper Fig. 1): a drop-tail FIFO queue
-// draining at the bottleneck capacity, frame sampling every 1/pm arrivals,
-// sigma computation per eq. (1), and 802.3x PAUSE when the queue exceeds
-// the severe-congestion threshold qsc.
+// The switch congestion point (paper Fig. 1): a drop-tail FIFO queue
+// draining at the port rate, frame sampling every 1/pm arrivals, sigma
+// computation per eq. (1), and 802.3x PAUSE when the queue exceeds the
+// severe-congestion threshold qsc.  The same entity is every output port
+// of the packet scenarios: the single bottleneck (network.h), both
+// parking-lot congestion points (parking_lot.h), and the edge, hot and
+// cold ports of the multi-hop victim scenario (multihop.h), where a port
+// is itself paused by its downstream receiver.
 //
 // What feedback a sampled frame triggers is the attached congestion-
 // control mechanism's decision (sim/mechanism.h): sigma-sign BCN
@@ -12,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "common/rng.h"
 #include "obs/monitor.h"
@@ -31,7 +34,8 @@ struct CoreSwitchConfig {
   double q0 = 2.5e6;          // reference queue
   double qsc = 4.5e6;         // PAUSE threshold
   double w = 2.0;             // sigma weight, eq. (1)
-  double pm = 0.01;           // sampling probability (deterministic 1/pm)
+  double pm = 0.01;           // sampling probability (deterministic 1/pm);
+                              // 0 disables sampling and feedback
   bool enable_pause = true;
   SimTime pause_duration = 3355;  // 512-bit quanta x 65535 at 10 Gbps [ns]
   // Draft semantics: positive BCN only reaches sources already associated
@@ -46,35 +50,44 @@ struct CoreSwitchConfig {
   // and fully reproducible.
   bool random_sampling = false;
   std::uint64_t sampling_seed = 0x5eed;
+  // Identity of this port in PAUSE trace records and monitor queue
+  // checks; 0 uses cpid.  Multi-port topologies label ports that carry
+  // no congestion point (cpid 0) so a shared trace tells them apart.
+  std::uint32_t port_label = 0;
 };
 
 class CoreSwitch : public EventTarget {
  public:
-  using BcnSender = std::function<void(const BcnMessage&)>;
-  using PauseSender = std::function<void(const PauseFrame&)>;
-  using FrameSink = std::function<void(const Frame&)>;
-
+  // `stats` receives the counters and per-source delivery accounting, and
+  // (unless set_observer redirects them) the sigma samples and BCN/PAUSE
+  // event records.
   CoreSwitch(Simulator& sim, CoreSwitchConfig config, SimStats& stats);
 
-  // Typed-event dispatch: the service-completion timer.
+  // Typed-event dispatch: service completion and pause expiry.
   void on_event(const SimEvent& event) override;
 
   // Downstream hop for frames completing service; unset = frames
   // terminate here.  Switches compose into chains (multihop.cpp) or any
   // other wiring; generated datacenter fabrics live in sim/shard.
-  void set_sink(FrameSink sink) { sink_ = std::move(sink); }
   void set_sink(const EventLink& link) { sink_link_ = link; }
 
   // Frame arrival from the fabric.  Samples, possibly emits feedback /
-  // PAUSE via the callbacks, then enqueues or drops.
+  // PAUSE over the links, then enqueues or drops.
   void on_frame(const Frame& frame);
 
-  // Each sender accepts either a std::function (tests, ad-hoc wiring) or
-  // an EventLink (the scenarios' zero-closure fast path); a set link wins.
-  void set_bcn_sender(BcnSender sender) { send_bcn_ = std::move(sender); }
+  // 802.3x PAUSE from the downstream receiver: finish the frame on the
+  // wire, then hold service until the pause expires.
+  void on_pause(const PauseFrame& pause);
+
+  // Feedback (to the sampled frame's source) and upstream PAUSE hops;
+  // unset = none is emitted.
   void set_bcn_sender(const EventLink& link) { bcn_link_ = link; }
-  void set_pause_sender(PauseSender sender) { send_pause_ = std::move(sender); }
   void set_pause_sender(const EventLink& link) { pause_link_ = link; }
+
+  // Optional shared trace sink: sigma samples and BCN/PAUSE event records
+  // go to `observer` instead of the counters' SimStats.  Multi-port
+  // topologies keep per-port counters but one trace.
+  void set_observer(SimStats& observer) { trace_ = &observer; }
 
   // Congestion-control mechanism driving feedback generation; defaults to
   // the shared BCN fluid-matched mechanism.  Not owned.
@@ -112,7 +125,9 @@ class CoreSwitch : public EventTarget {
   void finish_service();
   void emit_bcn(const BcnMessage& message);
 
-  bool has_bcn_sender() const { return bcn_link_ || send_bcn_; }
+  std::uint32_t port_label() const {
+    return config_.port_label != 0 ? config_.port_label : config_.cpid;
+  }
 
   // One-entry service-time memo: the drain rate is fixed and frame sizes
   // are usually uniform, so the per-departure floating-point divide
@@ -128,9 +143,7 @@ class CoreSwitch : public EventTarget {
   Simulator& sim_;
   CoreSwitchConfig config_;
   SimStats& stats_;
-  BcnSender send_bcn_;
-  PauseSender send_pause_;
-  FrameSink sink_;
+  SimStats* trace_;  // sigma + event records: stats_ or the observer
   EventLink bcn_link_;
   EventLink pause_link_;
   EventLink sink_link_;
@@ -151,13 +164,15 @@ class CoreSwitch : public EventTarget {
   SimTime service_gap_ = 0;
   bool serving_ = false;
   // Service-completion timer; its slot is re-armed back-to-back while the
-  // queue stays busy and goes stale when the queue drains.
+  // queue stays busy and goes stale when the queue drains or the server
+  // waits out a PAUSE.
   EventId depart_timer_ = kInvalidEvent;
+  SimTime paused_until_ = 0;  // PAUSE received from downstream
 
   std::uint64_t arrivals_since_sample_ = 0;
-  std::uint64_t sample_every_ = 100;  // round(1/pm)
+  std::uint64_t sample_every_ = 0;  // round(1/pm); 0 = sampling disabled
   double queue_at_last_sample_ = 0.0;
-  SimTime pause_cooldown_until_ = 0;
+  SimTime pause_cooldown_until_ = 0;  // PAUSE sent upstream
 
   Rng sampling_rng_{0x5eed};
 };

@@ -3,10 +3,12 @@
 // buffer sized by Theorem 1 for the worst-case N stays strongly stable.
 #include <gtest/gtest.h>
 
+#include "recording_target.h"
 #include "sim/network.h"
 
 namespace bcn::sim {
 namespace {
+
 
 TEST(OnOffSourceTest, RespectsDutyCycle) {
   Simulator sim;
@@ -18,9 +20,10 @@ TEST(OnOffSourceTest, RespectsDutyCycle) {
   sc.off_time = 1 * kMillisecond;
   sc.regulator.max_rate = 1e9;
   Source src(sim, sc);
-  std::vector<SimTime> times;
-  src.start([&](const Frame&) { times.push_back(sim.now()); });
+  RecordingTarget out(sim);
+  src.start(out.link());
   sim.run_until(4 * kMillisecond);
+  const std::vector<SimTime> times = out.times();
   ASSERT_FALSE(times.empty());
   int in_on = 0, in_off = 0;
   for (const SimTime t : times) {
@@ -40,10 +43,10 @@ TEST(OnOffSourceTest, SaturatingIgnoresOnOffKnobs) {
   sc.off_time = kMillisecond;
   sc.regulator.max_rate = 1e9;
   Source src(sim, sc);
-  int count = 0;
-  src.start([&](const Frame&) { ++count; });
+  RecordingTarget out(sim);
+  src.start(out.link());
   sim.run_until(4 * kMillisecond);
-  EXPECT_GT(count, 300);  // continuous ~83 frames/ms
+  EXPECT_GT(out.entries().size(), 300u);  // continuous ~83 frames/ms
 }
 
 TEST(ChurnTest, WorstCaseSizedBufferSurvivesChurn) {

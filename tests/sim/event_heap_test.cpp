@@ -1,67 +1,21 @@
 // The typed-event pool and indexed heap: handle lifecycle, in-place
 // cancel/reschedule, FIFO tie-breaking, slot recycling, and the
 // zero-allocation steady state.
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "obs/metrics.h"
+#include "recording_target.h"
 #include "sim/event_queue.h"
-
-// Global allocation counter for the zero-allocation assertions below.
-// Counting is toggled around the region under test, so the gtest
-// machinery's own allocations never pollute a measurement.  Atomics keep
-// the override safe under the TSan job, which runs this binary too.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace bcn::sim {
 namespace {
 
-// Records every dispatched event in firing order.
-class Recorder : public EventTarget {
- public:
-  struct Entry {
-    EventKind kind;
-    std::uint32_t tag;
-    SimTime at;
-  };
-
-  explicit Recorder(Simulator& sim) : sim_(sim) {}
-
-  void on_event(const SimEvent& event) override {
-    entries_.push_back({event.kind, event.tag, sim_.now()});
-    last_ = event;
-  }
-
-  const std::vector<Entry>& entries() const { return entries_; }
-  const SimEvent& last() const { return last_; }
-
- private:
-  Simulator& sim_;
-  std::vector<Entry> entries_;
-  SimEvent last_;
-};
-
 TEST(EventHeapTest, TypedEventsCarryKindTagAndPayload) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
 
   Frame frame;
   frame.source = 7;
@@ -70,48 +24,44 @@ TEST(EventHeapTest, TypedEventsCarryKindTagAndPayload) {
   sim.schedule_frame(10, &rec, 1, frame);
   sim.run_until(10);
   ASSERT_EQ(rec.entries().size(), 1u);
-  EXPECT_EQ(rec.last().kind, EventKind::FrameArrival);
-  EXPECT_EQ(rec.last().tag, 1u);
-  EXPECT_EQ(rec.last().payload.frame.source, 7u);
-  EXPECT_EQ(rec.last().payload.frame.seq, 42u);
+  EXPECT_EQ(rec.entries().back().kind, EventKind::FrameArrival);
+  EXPECT_EQ(rec.entries().back().tag, 1u);
+  EXPECT_EQ(rec.entries().back().payload.frame.source, 7u);
+  EXPECT_EQ(rec.entries().back().payload.frame.seq, 42u);
 
   BcnMessage bcn;
   bcn.target = 3;
   bcn.sigma = -1.5;
   sim.schedule_bcn(20, &rec, 2, bcn);
   sim.run_until(20);
-  EXPECT_EQ(rec.last().kind, EventKind::BcnDelivery);
-  EXPECT_EQ(rec.last().payload.bcn.target, 3u);
-  EXPECT_DOUBLE_EQ(rec.last().payload.bcn.sigma, -1.5);
+  EXPECT_EQ(rec.entries().back().kind, EventKind::BcnDelivery);
+  EXPECT_EQ(rec.entries().back().payload.bcn.target, 3u);
+  EXPECT_DOUBLE_EQ(rec.entries().back().payload.bcn.sigma, -1.5);
 
   PauseFrame pause;
   pause.duration = 999;
   sim.schedule_pause(30, &rec, 3, pause);
   sim.run_until(30);
-  EXPECT_EQ(rec.last().kind, EventKind::PauseDelivery);
-  EXPECT_EQ(rec.last().payload.pause.duration, 999);
+  EXPECT_EQ(rec.entries().back().kind, EventKind::PauseDelivery);
+  EXPECT_EQ(rec.entries().back().payload.pause.duration, 999);
 }
 
-TEST(EventHeapTest, SimultaneousTypedAndCallbackEventsFifo) {
+TEST(EventHeapTest, SimultaneousEventsOfMixedKindsFifo) {
   Simulator sim;
-  Recorder rec(sim);
-  std::vector<int> order;
+  RecordingTarget rec(sim);
   // Interleave kinds at one instant; firing must follow scheduling order.
+  Frame frame;
   sim.schedule_event(10, &rec, EventKind::Tick, 0);
-  sim.schedule_at(10, [&] { order.push_back(1); });
-  sim.schedule_event(10, &rec, EventKind::Tick, 2);
-  sim.schedule_at(10, [&] { order.push_back(3); });
-  std::vector<std::uint32_t> tags;
+  sim.schedule_frame(10, &rec, 1, frame);
+  sim.schedule_event(10, &rec, EventKind::SourceToken, 2);
+  sim.schedule_pause(10, &rec, 3, PauseFrame{});
   sim.run_until(10);
-  ASSERT_EQ(rec.entries().size(), 2u);
-  EXPECT_EQ(rec.entries()[0].tag, 0u);
-  EXPECT_EQ(rec.entries()[1].tag, 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(rec.tags(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(EventHeapTest, CancelRemovesFromHeapImmediately) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   const EventId a = sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.schedule_event(20, &rec, EventKind::Tick, 1);
   EXPECT_EQ(sim.heap_size(), 2u);
@@ -129,7 +79,7 @@ TEST(EventHeapTest, CancelRemovesFromHeapImmediately) {
 // no-ops and the pool must stay compact.
 TEST(EventHeapTest, CancelAfterFireLeavesNoResidue) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   std::vector<EventId> fired_ids;
   for (int round = 0; round < 10'000; ++round) {
     const EventId id =
@@ -151,7 +101,7 @@ TEST(EventHeapTest, CancelAfterFireLeavesNoResidue) {
 
 TEST(EventHeapTest, RescheduleMovesEventInPlace) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   const EventId id = sim.schedule_event(100, &rec, EventKind::Tick, 0);
   sim.schedule_event(50, &rec, EventKind::Tick, 1);
   EXPECT_TRUE(sim.reschedule(id, 10));  // move ahead of the tag-1 event
@@ -166,7 +116,7 @@ TEST(EventHeapTest, RescheduleMovesEventInPlace) {
 
 TEST(EventHeapTest, RescheduleReentersFifoOrder) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   const EventId id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.schedule_event(10, &rec, EventKind::Tick, 1);
   // Rescheduling to the same instant is a cancel + fresh schedule: the
@@ -180,7 +130,7 @@ TEST(EventHeapTest, RescheduleReentersFifoOrder) {
 
 TEST(EventHeapTest, RescheduleStaleHandleFails) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   const EventId id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.run_until(10);
   EXPECT_FALSE(sim.reschedule(id, 20));
@@ -222,7 +172,7 @@ TEST(EventHeapTest, SelfRearmingTimerReusesItsSlot) {
 
 TEST(EventHeapTest, ArmReschedulesLiveAndSchedulesStale) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   EventId id = kInvalidEvent;
   // Stale/invalid handle: arm schedules fresh.
   id = sim.arm(id, 10, &rec, EventKind::Tick, 0);
@@ -237,7 +187,7 @@ TEST(EventHeapTest, ArmReschedulesLiveAndSchedulesStale) {
 
 TEST(EventHeapTest, RecycledSlotStalesOldHandles) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   const EventId old_id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.cancel(old_id);
   // The freed slot is reused; the old handle must not touch the new event.
@@ -253,7 +203,7 @@ TEST(EventHeapTest, RecycledSlotStalesOldHandles) {
 
 TEST(EventHeapTest, RandomizedOrderIsNondecreasingWithFifoTieBreak) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   std::uint64_t rng = 12345;
   auto next = [&rng] {
     rng ^= rng << 13;
@@ -324,7 +274,7 @@ TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
 
 TEST(EventHeapTest, PastDeadlineClampsAndCounts) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   sim.schedule_event(50, &rec, EventKind::Tick, 0);
   sim.run_until(50);
   sim.schedule_event(10, &rec, EventKind::Tick, 1);  // strictly in the past
@@ -336,7 +286,7 @@ TEST(EventHeapTest, PastDeadlineClampsAndCounts) {
 
 TEST(EventHeapTest, ExportMetricsPublishesSchedulerCounters) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   for (int i = 0; i < 8; ++i) {
     sim.schedule_event(10 + i, &rec, EventKind::Tick, 0);
   }
@@ -363,7 +313,7 @@ TEST(EventHeapTest, ExportMetricsPublishesSchedulerCounters) {
 
 TEST(EventHeapTest, EventLinkForwardsAfterFixedDelay) {
   Simulator sim;
-  Recorder rec(sim);
+  RecordingTarget rec(sim);
   const EventLink link(sim, &rec, 5, /*delay=*/250);
   EXPECT_TRUE(static_cast<bool>(link));
   EXPECT_FALSE(static_cast<bool>(EventLink{}));

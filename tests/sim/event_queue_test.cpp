@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "recording_target.h"
+
 namespace bcn::sim {
 namespace {
+
 
 TEST(SimTimeTest, Conversions) {
   EXPECT_DOUBLE_EQ(to_seconds(kSecond), 1.0);
@@ -26,94 +29,98 @@ TEST(SimTimeTest, TransmissionTimeRoundsUp) {
 
 TEST(SimulatorTest, EventsFireInTimeOrder) {
   Simulator sim;
-  std::vector<int> order;
-  sim.schedule_at(30, [&] { order.push_back(3); });
-  sim.schedule_at(10, [&] { order.push_back(1); });
-  sim.schedule_at(20, [&] { order.push_back(2); });
+  RecordingTarget rec(sim);
+  sim.schedule_event(30, &rec, EventKind::Tick, 3);
+  sim.schedule_event(10, &rec, EventKind::Tick, 1);
+  sim.schedule_event(20, &rec, EventKind::Tick, 2);
   sim.run_until(100);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(rec.tags(), (std::vector<std::uint32_t>{1, 2, 3}));
   EXPECT_EQ(sim.now(), 100);
 }
 
 TEST(SimulatorTest, SimultaneousEventsFifo) {
   Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sim.schedule_at(10, [&order, i] { order.push_back(i); });
+  RecordingTarget rec(sim);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    sim.schedule_event(10, &rec, EventKind::Tick, i);
   }
   sim.run_until(10);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(rec.tags(), (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   Simulator sim;
-  int fired = 0;
-  sim.schedule_at(10, [&] { ++fired; });
-  sim.schedule_at(20, [&] { ++fired; });
+  RecordingTarget rec(sim);
+  sim.schedule_event(10, &rec, EventKind::Tick, 0);
+  sim.schedule_event(20, &rec, EventKind::Tick, 0);
   sim.run_until(15);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rec.entries().size(), 1u);
   EXPECT_EQ(sim.now(), 15);
   sim.run_until(25);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(rec.entries().size(), 2u);
 }
 
-TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
+TEST(SimulatorTest, HandlerSchedulesRelativeToNow) {
   Simulator sim;
-  SimTime fired_at = -1;
-  sim.schedule_at(10, [&] {
-    sim.schedule_after(5, [&] { fired_at = sim.now(); });
+  RecordingTarget rec(sim);
+  rec.set_hook([&](const SimEvent& e) {
+    if (e.tag == 0) sim.schedule_event(sim.now() + 5, &rec, EventKind::Tick, 1);
   });
+  sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.run_until(100);
-  EXPECT_EQ(fired_at, 15);
+  EXPECT_EQ(rec.times(), (std::vector<SimTime>{10, 15}));
 }
 
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(10, [&] { ++fired; });
-  sim.schedule_at(20, [&] { ++fired; });
+  RecordingTarget rec(sim);
+  const EventId id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
+  sim.schedule_event(20, &rec, EventKind::Tick, 1);
   sim.cancel(id);
   sim.run_until(100);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rec.tags(), (std::vector<std::uint32_t>{1}));
 }
 
 TEST(SimulatorTest, CancelInvalidAndFiredIsNoop) {
   Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(10, [&] { ++fired; });
+  RecordingTarget rec(sim);
+  const EventId id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.run_until(50);
-  sim.cancel(id);           // already fired
+  sim.cancel(id);             // already fired
   sim.cancel(kInvalidEvent);  // invalid handle
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rec.entries().size(), 1u);
   EXPECT_TRUE(sim.idle());
 }
 
 TEST(SimulatorTest, EventsScheduledInPastClampToNow) {
   Simulator sim;
+  RecordingTarget rec(sim);
   sim.run_until(50);
-  SimTime fired_at = -1;
-  sim.schedule_at(10, [&] { fired_at = sim.now(); });
+  sim.schedule_event(10, &rec, EventKind::Tick, 0);
   sim.run_until(60);
-  EXPECT_EQ(fired_at, 50);
+  EXPECT_EQ(rec.times(), (std::vector<SimTime>{50}));
 }
 
 TEST(SimulatorTest, EventsCanScheduleChains) {
   Simulator sim;
-  int count = 0;
-  std::function<void()> tick = [&] {
-    if (++count < 10) sim.schedule_after(5, tick);
-  };
-  sim.schedule_at(0, tick);
+  RecordingTarget rec(sim);
+  rec.set_hook([&](const SimEvent&) {
+    if (rec.entries().size() < 10) {
+      sim.schedule_event(sim.now() + 5, &rec, EventKind::Tick, 0);
+    }
+  });
+  sim.schedule_event(0, &rec, EventKind::Tick, 0);
   const std::size_t executed = sim.run_until(1000);
-  EXPECT_EQ(count, 10);
+  EXPECT_EQ(rec.entries().size(), 10u);
   EXPECT_EQ(executed, 10u);
   EXPECT_TRUE(sim.idle());
 }
 
 TEST(SimulatorTest, IdleReflectsLiveEvents) {
   Simulator sim;
+  RecordingTarget rec(sim);
   EXPECT_TRUE(sim.idle());
-  const EventId id = sim.schedule_at(10, [] {});
+  const EventId id = sim.schedule_event(10, &rec, EventKind::Tick, 0);
   EXPECT_FALSE(sim.idle());
   sim.cancel(id);
   EXPECT_TRUE(sim.idle());
