@@ -312,7 +312,7 @@ ExecResult exec_stability_map(const Request& request,
   analysis::StabilityMapOptions opts;
   opts.numeric_level = level;
   opts.mode = mode;
-  opts.threads = 1;  // handlers are serial; the server batches across them
+  opts.threads = 1;  // handlers are serial; misses run side by side
   const auto map =
       analysis::compute_stability_map(base, gi_values, b_values, opts);
 

@@ -4,53 +4,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 
+#include "exec/thread_pool.h"
+
 namespace bcn::service {
 
-// --- JobQueue ---------------------------------------------------------------
+namespace {
 
-bool ServiceServer::JobQueue::push(std::shared_ptr<Job> job) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  space_.wait(lock,
-              [this] { return stopped_ || jobs_.size() < capacity_; });
-  if (stopped_) return false;
-  jobs_.push_back(std::move(job));
-  ready_.notify_one();
-  return true;
-}
+// A connection sending a longer unterminated line is cut off.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
-std::shared_ptr<ServiceServer::Job> ServiceServer::JobQueue::pop_wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.wait(lock, [this] { return stopped_ || !jobs_.empty(); });
-  if (jobs_.empty()) return nullptr;
-  auto job = std::move(jobs_.front());
-  jobs_.pop_front();
-  space_.notify_one();
-  return job;
-}
-
-void ServiceServer::JobQueue::drain_into(
-    std::vector<std::shared_ptr<Job>>& out, std::size_t max) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t taken = 0;
-  while (taken < max && !jobs_.empty()) {
-    out.push_back(std::move(jobs_.front()));
-    jobs_.pop_front();
-    ++taken;
-  }
-  if (taken > 0) space_.notify_all();
-}
-
-void ServiceServer::JobQueue::stop() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stopped_ = true;
-  ready_.notify_all();
-  space_.notify_all();
-}
+}  // namespace
 
 // --- lifecycle --------------------------------------------------------------
 
@@ -59,8 +26,8 @@ ServiceServer::ServiceServer(const ServiceConfig& config)
       connections_(&metrics_.counter("service.connections")),
       requests_(&metrics_.counter("service.requests")),
       errors_(&metrics_.counter("service.errors")),
-      batches_(&metrics_.counter("service.batches")),
-      queue_(config.queue_capacity > 0 ? config.queue_capacity : 1) {
+      executions_(&metrics_.counter("service.executions")),
+      slots_(exec::resolve_threads(config.threads)) {
   options_.monitors = config.monitors;
   VerdictCache::Config cache_config;
   cache_config.entries = config.cache_entries;
@@ -99,8 +66,6 @@ bool ServiceServer::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
-  pool_ = std::make_unique<exec::ThreadPool>(config_.threads);
-  batch_thread_ = std::thread([this] { batch_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
   return true;
 }
@@ -138,8 +103,8 @@ void ServiceServer::stop() {
   // 1. Unblock and retire the accept loop.
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
-  // 2. Unblock every reader's read(); readers waiting on a pending job
-  //    stay blocked until the batcher answers it below.
+  // 2. Unblock every reader's read(); a reader mid-computation
+  //    finishes it, fails to write the answer and exits.
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     for (auto& conn : conns_) {
@@ -148,11 +113,7 @@ void ServiceServer::stop() {
       }
     }
   }
-  // 3. Stop admissions; the batcher drains whatever is queued (every
-  //    admitted job still gets an answer) and exits.
-  queue_.stop();
-  if (batch_thread_.joinable()) batch_thread_.join();
-  // 4. Readers are now answerable and unblocked; join and close.
+  // 3. Join the readers and close their sockets.
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     for (auto& conn : conns_) {
@@ -163,7 +124,6 @@ void ServiceServer::stop() {
   }
   ::close(listen_fd_);
   listen_fd_ = -1;
-  pool_.reset();
   request_shutdown();  // release any wait_for_shutdown() caller
 }
 
@@ -235,15 +195,17 @@ void ServiceServer::reader_loop(Connection* conn) {
       handle_line(conn, std::move(line));
       if (stopping_.load(std::memory_order_acquire)) alive = false;
     }
-    if (buffer.size() > config_.max_line_bytes) {
+    if (buffer.size() > kMaxLineBytes) {
       errors_->inc();
       write_line(conn->fd, error_response("parse", "request line too long"));
       break;
     }
   }
-  // The fd is closed by the accept loop's reaper or by stop(), never
-  // here: closing it while stop() may concurrently shutdown() the same
-  // fd would race with kernel fd reuse.
+  // Shutting the socket down tells the peer the connection is over.
+  // The fd itself is closed by the accept loop's reaper or by stop(),
+  // never here: closing it while stop() may concurrently shutdown() the
+  // same fd would race with kernel fd reuse.
+  ::shutdown(conn->fd, SHUT_RDWR);
   conn->done.store(true, std::memory_order_release);
 }
 
@@ -257,8 +219,8 @@ void ServiceServer::handle_line(Connection* conn, std::string line) {
   }
   requests_->inc();
 
-  // Cheap control-plane ops run inline on the reader: the stats
-  // snapshot must not sit behind queued analysis work.
+  // Cheap control-plane ops skip the cache and the execution slots: the
+  // stats snapshot must not wait behind analysis work.
   if (request->op == "ping" || request->op == "stats" ||
       request->op == "shutdown") {
     const ExecResult result = execute(*request, options_, &metrics_);
@@ -273,78 +235,41 @@ void ServiceServer::handle_line(Connection* conn, std::string line) {
     return;
   }
 
-  auto job = std::make_shared<Job>();
-  job->request = std::move(*request);
-  job->key = key;
-  if (!queue_.push(job)) {
-    errors_->inc();
-    write_line(conn->fd, attach_id(job->request.id,
-                                   error_response("shutting_down",
-                                                  "server is shutting down")));
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(job->mutex);
-    job->cv.wait(lock, [&job] { return job->done; });
-  }
-  if (job->error) errors_->inc();
-  write_line(conn->fd, attach_id(job->request.id, job->body));
+  const ExecResult result = compute(*request, key);
+  if (result.error) errors_->inc();
+  write_line(conn->fd, attach_id(request->id, result.body));
 }
 
-// --- batcher ----------------------------------------------------------------
-
-void ServiceServer::finish(Job& job, std::string body, bool is_error) {
+ExecResult ServiceServer::compute(const Request& request,
+                                  const std::string& key) {
+  std::promise<ExecResult> promise;
+  std::shared_future<ExecResult> joined;
   {
-    std::lock_guard<std::mutex> lock(job.mutex);
-    job.body = std::move(body);
-    job.error = is_error;
-    job.done = true;
+    std::lock_guard<std::mutex> lock(flights_mutex_);
+    const auto [it, inserted] = flights_.try_emplace(key);
+    if (inserted) {
+      it->second = promise.get_future().share();
+    } else {
+      joined = it->second;
+    }
   }
-  job.cv.notify_one();
-}
+  if (joined.valid()) return joined.get();
 
-void ServiceServer::batch_loop() {
-  std::vector<std::shared_ptr<Job>> batch;
-  for (;;) {
-    batch.clear();
-    auto first = queue_.pop_wait();
-    if (!first) return;  // stopped and fully drained
-    batch.push_back(std::move(first));
-    if (config_.max_batch > 1) {
-      queue_.drain_into(batch, config_.max_batch - 1);
-    }
-    batches_->inc();
-
-    // Deduplicate within the batch: jobs sharing a cache key are
-    // answered by one execution (concurrent clients asking the same
-    // question cost one analysis, not N).
-    std::vector<std::vector<std::shared_ptr<Job>>> groups;
-    for (auto& job : batch) {
-      bool grouped = false;
-      for (auto& group : groups) {
-        if (group.front()->key == job->key) {
-          group.push_back(std::move(job));
-          grouped = true;
-          break;
-        }
-      }
-      if (!grouped) groups.push_back({std::move(job)});
-    }
-
-    for (auto& group : groups) {
-      pool_->submit([this, &group] {
-        ExecResult result = execute(group.front()->request, options_,
-                                    &metrics_);
-        if (result.cacheable && !result.error) {
-          cache_->put(group.front()->key, result.body);
-        }
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          finish(*group[i], result.body, result.error);
-        }
-      });
-    }
-    pool_->wait_idle();  // micro-batch barrier: groups die with the loop
+  slots_.acquire();
+  ExecResult result = execute(request, options_, &metrics_);
+  slots_.release();
+  executions_->inc();
+  // Cache before retiring the flight, so a miss that arrives later finds
+  // one or the other.  (A miss that checked the cache just before this
+  // put and the table just after the erase computes again; its answer
+  // is byte-identical.)
+  if (result.cacheable && !result.error) cache_->put(key, result.body);
+  {
+    std::lock_guard<std::mutex> lock(flights_mutex_);
+    flights_.erase(key);
   }
+  promise.set_value(result);
+  return result;
 }
 
 }  // namespace bcn::service

@@ -5,19 +5,17 @@
 // Execution shape:
 //
 //   accept thread -> one reader thread per connection
-//                 -> bounded admission queue (blocking backpressure)
-//                 -> single batcher thread
-//                 -> micro-batches on the exec-layer ThreadPool
+//                 -> cache -> execution slot -> execute
 //
-// Each reader resolves requests in arrival order: cheap ops (ping,
-// stats, shutdown) and verdict-cache hits are answered inline; misses
-// are pushed onto the admission queue and the reader blocks until the
-// batcher has executed the job, so responses on one connection are
-// always FIFO.  The batcher drains up to `max_batch` jobs at a time,
-// deduplicates jobs sharing a cache key (one execution answers all of
-// them), dispatches one pool task per distinct key and waits for the
-// batch to finish; handlers themselves run serially (no nested pools),
-// so parallelism comes from batching across connections.
+// Each reader resolves its connection's requests in arrival order, so
+// responses on one connection are always FIFO.  Cheap ops (ping, stats,
+// shutdown) and verdict-cache hits are answered at once.  A miss runs
+// on the reader itself once it holds one of `threads` execution slots;
+// a miss whose key is already being computed by another reader waits
+// for that result instead of computing it again.  Handlers run serially
+// (no nested pools), so parallelism comes from concurrent connections.
+// A reader never has more than one request outstanding, so the blocked
+// readers are all the backpressure the server needs.
 //
 // Determinism contract: every analytic response is a pure function of
 // its quantized cache key (protocol.h), so a cached answer is
@@ -31,14 +29,15 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "service/protocol.h"
 #include "service/verdict_cache.h"
@@ -47,16 +46,10 @@ namespace bcn::service {
 
 struct ServiceConfig {
   int port = 0;  // 0 -> ephemeral; the bound port is reported by port()
-  int threads = 0;  // pool workers (exec::resolve_threads semantics)
+  // Cache misses computed at once (exec::resolve_threads semantics).
+  int threads = 0;
   std::size_t cache_entries = 4096;
   std::size_t cache_shards = 8;
-  // Admission-queue bound: readers block (backpressure) when this many
-  // cache misses are already waiting for the batcher.
-  std::size_t queue_capacity = 256;
-  // Largest micro-batch the batcher dispatches onto the pool at once.
-  std::size_t max_batch = 32;
-  // A connection sending a longer unterminated line is cut off.
-  std::size_t max_line_bytes = 1 << 20;
   obs::MonitorSpec monitors;
 };
 
@@ -68,8 +61,8 @@ class ServiceServer {
   ServiceServer(const ServiceServer&) = delete;
   ServiceServer& operator=(const ServiceServer&) = delete;
 
-  // Binds, listens and starts the accept / batcher threads.  False on
-  // socket failure; error() then holds the reason.
+  // Binds, listens and starts the accept thread.  False on socket
+  // failure; error() then holds the reason.
   bool start();
   const std::string& error() const { return error_; }
 
@@ -87,46 +80,15 @@ class ServiceServer {
   // handler cannot safely notify a condition variable).
   bool wait_for_shutdown(double seconds);
 
-  // Full teardown: unblocks the accept loop and every reader, drains
-  // the admission queue through the batcher (pending jobs still get
-  // answers), joins all threads, closes all sockets.  Idempotent.
+  // Full teardown: unblocks the accept loop and every reader, lets each
+  // reader finish the computation it is running, joins all threads and
+  // closes all sockets.  Idempotent.
   void stop();
 
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   VerdictCache& cache() { return *cache_; }
 
  private:
-  struct Job {
-    Request request;
-    std::string key;
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    std::string body;  // canonical (id-less) response
-    bool error = false;
-  };
-
-  // Bounded blocking MPSC queue between readers and the batcher.
-  class JobQueue {
-   public:
-    explicit JobQueue(std::size_t capacity) : capacity_(capacity) {}
-    // Blocks while full; false once stopped (the job was not enqueued).
-    bool push(std::shared_ptr<Job> job);
-    // Blocks for the next job; null only when stopped AND empty, so the
-    // batcher drains every admitted job before exiting.
-    std::shared_ptr<Job> pop_wait();
-    // Grabs up to `max` more jobs without waiting.
-    void drain_into(std::vector<std::shared_ptr<Job>>& out, std::size_t max);
-    void stop();
-
-   private:
-    std::size_t capacity_;
-    std::mutex mutex_;
-    std::condition_variable ready_, space_;
-    std::deque<std::shared_ptr<Job>> jobs_;
-    bool stopped_ = false;
-  };
-
   struct Connection {
     int fd = -1;
     std::thread thread;
@@ -136,9 +98,10 @@ class ServiceServer {
   void accept_loop();
   void reader_loop(Connection* conn);
   void handle_line(Connection* conn, std::string line);
-  void batch_loop();
+  // The miss path: joins the in-flight computation of `key` or runs
+  // it under an execution slot, caching a cacheable answer.
+  ExecResult compute(const Request& request, const std::string& key);
   static bool write_line(int fd, const std::string& body);
-  void finish(Job& job, std::string body, bool is_error);
 
   ServiceConfig config_;
   ServiceOptions options_;
@@ -152,15 +115,18 @@ class ServiceServer {
   obs::Counter* connections_;
   obs::Counter* requests_;
   obs::Counter* errors_;
-  obs::Counter* batches_;
+  obs::Counter* executions_;
   std::unique_ptr<VerdictCache> cache_;
-  std::unique_ptr<exec::ThreadPool> pool_;
-  JobQueue queue_;
+  std::counting_semaphore<> slots_;
+
+  // Keys being computed right now, each with the future every reader
+  // that misses on it meanwhile waits on.
+  std::mutex flights_mutex_;
+  std::unordered_map<std::string, std::shared_future<ExecResult>> flights_;
 
   int listen_fd_ = -1;
   int port_ = 0;
   std::thread accept_thread_;
-  std::thread batch_thread_;
 
   std::mutex conns_mutex_;
   std::vector<std::unique_ptr<Connection>> conns_;

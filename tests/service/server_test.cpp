@@ -1,12 +1,15 @@
 // End-to-end tests of the stability-verdict TCP server: protocol
-// round-trips, FIFO ordering, cache-counter accuracy, and the
-// determinism contract (cached == cold, byte for byte) under
-// concurrent clients.  The whole suite runs under TSan in
-// scripts/check.sh gate 1.
+// round-trips, FIFO ordering, cache-counter accuracy, the determinism
+// contract (cached == cold, byte for byte) under concurrent clients,
+// misses running side by side, single-flight execution and the
+// request-line limit.  The whole suite runs under TSan in
+// scripts/check.sh gate 1, and repeatedly at ctest -j8 in gate 11.
 #include "service/server.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <string>
@@ -19,10 +22,15 @@
 namespace bcn::service {
 namespace {
 
+// A scalar 40x40 map: hundreds of milliseconds of one slot's time,
+// where a cold default verdict takes about one.
+constexpr const char* kSlowMap =
+    "{\"op\":\"stability_map\",\"mode\":\"scalar\",\"grid\":40}";
+
 class ServerTest : public ::testing::Test {
  protected:
-  void start(ServiceConfig config = {}) {
-    config.threads = 2;
+  void start(ServiceConfig config = {}, int threads = 2) {
+    config.threads = threads;
     server_ = std::make_unique<ServiceServer>(config);
     ASSERT_TRUE(server_->start()) << server_->error();
     ASSERT_GT(server_->port(), 0);
@@ -38,6 +46,17 @@ class ServerTest : public ::testing::Test {
   std::uint64_t counter(const std::string& name) {
     const auto* c = server_->metrics().find_counter(name);
     return c ? c->value() : 0;
+  }
+
+  // Polls until `name` reaches `value`; false after ten seconds.
+  bool await_counter(const std::string& name, std::uint64_t value) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (counter(name) < value) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
   }
 
   std::unique_ptr<ServiceServer> server_;
@@ -163,6 +182,78 @@ TEST_F(ServerTest, CachedEqualsColdByteForByteUnderConcurrentClients) {
   EXPECT_EQ(counter("service.cache.hits"),
             static_cast<std::uint64_t>(kClients * kPasses) * pool.size());
   EXPECT_EQ(counter("service.cache.misses"), pool.size());
+  server_->stop();
+}
+
+TEST_F(ServerTest, VerdictMissIsNotHeldBehindASlowMap) {
+  start();  // two execution slots
+  LineClient slow = connect();
+  LineClient fast = connect();
+  // Each reply records its arrival rank; the verdict must not wait for
+  // the map that started before it while a slot sits idle.
+  ASSERT_TRUE(slow.send_line(kSlowMap));
+  ASSERT_TRUE(await_counter("service.cache.misses", 1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::atomic<int> rank{0};
+  int map_rank = -1;
+  std::thread map_reader([&] {
+    if (slow.read_line()) map_rank = rank.fetch_add(1);
+  });
+  const auto verdict = fast.request("{\"op\":\"verdict\"}");
+  const int verdict_rank = rank.fetch_add(1);
+  map_reader.join();
+  ASSERT_TRUE(verdict);
+  EXPECT_NE(verdict->find("\"op\":\"verdict\""), std::string::npos);
+  EXPECT_EQ(verdict_rank, 0);
+  EXPECT_EQ(map_rank, 1);
+  server_->stop();
+}
+
+TEST_F(ServerTest, ConcurrentIdenticalMissesExecuteOnce) {
+  start({}, /*threads=*/1);
+  // Occupy the only slot, so the verdict below cannot finish before
+  // every copy of it has missed the cache.
+  LineClient slow = connect();
+  ASSERT_TRUE(slow.send_line(kSlowMap));
+  ASSERT_TRUE(await_counter("service.cache.misses", 1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  constexpr int kCopies = 4;
+  const char* cold = "{\"op\":\"verdict\",\"a\":3e9}";
+  std::vector<LineClient> clients;
+  for (int c = 0; c < kCopies; ++c) {
+    clients.push_back(connect());
+    ASSERT_TRUE(clients.back().send_line(cold));
+  }
+  ASSERT_TRUE(await_counter("service.cache.misses", 1 + kCopies));
+  std::vector<std::string> bodies;
+  for (auto& client : clients) {
+    const auto response = client.read_line();
+    ASSERT_TRUE(response);
+    bodies.push_back(*response);
+  }
+  ASSERT_TRUE(slow.read_line());
+  for (const auto& body : bodies) EXPECT_EQ(body, bodies.front());
+  EXPECT_NE(bodies.front().find("\"op\":\"verdict\""), std::string::npos);
+  // One execution for the map and one for all copies of the verdict.
+  EXPECT_EQ(counter("service.executions"), 2u);
+  EXPECT_EQ(counter("service.cache.misses"), 1u + kCopies);
+  server_->stop();
+}
+
+TEST_F(ServerTest, OverlongRequestLineIsRefusedAndClosed) {
+  start();
+  LineClient client = connect();
+  // The terminator lies more than one read chunk past the 1 MiB limit,
+  // so the server sees an unterminated line over the limit.
+  ASSERT_TRUE(client.send_line(std::string((std::size_t{1} << 20) + 8192,
+                                           'x')));
+  const auto response = client.read_line();
+  ASSERT_TRUE(response);
+  EXPECT_NE(response->find("\"error\":\"parse\""), std::string::npos);
+  EXPECT_NE(response->find("request line too long"), std::string::npos);
+  EXPECT_FALSE(client.read_line());  // the server closed the connection
+  EXPECT_EQ(counter("service.errors"), 1u);
   server_->stop();
 }
 

@@ -2,8 +2,7 @@
 // engine as a long-running TCP server (protocol: docs/SERVICE.md).
 //
 //   bcn_serve [--port 0] [--threads 0] [--cache-entries 4096]
-//             [--cache-shards 8] [--queue 256] [--max-batch 32]
-//             [--monitors spec]
+//             [--cache-shards 8] [--monitors spec]
 //
 // Binds 127.0.0.1:<port> (0 = ephemeral), prints "listening on port N"
 // once ready, and serves until SIGINT/SIGTERM or a client's shutdown
@@ -27,20 +26,16 @@ namespace {
 void usage() {
   std::puts(
       "usage: bcn_serve [--port n] [--threads n] [--cache-entries n]\n"
-      "                 [--cache-shards n] [--queue n] [--max-batch n]\n"
-      "                 [--monitors spec] [--help]\n"
+      "                 [--cache-shards n] [--monitors spec] [--help]\n"
       "  --port n          TCP port on 127.0.0.1 (default 0 = ephemeral;\n"
       "                    the chosen port is printed on startup)\n"
-      "  --threads n       worker pool size (default 0 = all hardware\n"
-      "                    threads); handlers are serial, parallelism\n"
-      "                    comes from batching across connections\n"
+      "  --threads n       cache misses computed at once (default 0 = all\n"
+      "                    hardware threads); each miss runs serially on\n"
+      "                    its connection's thread, so parallelism comes\n"
+      "                    from concurrent connections\n"
       "  --cache-entries n verdict-cache capacity across all shards\n"
       "                    (default 4096)\n"
       "  --cache-shards n  verdict-cache lock shards (default 8)\n"
-      "  --queue n         admission-queue bound; readers block when this\n"
-      "                    many cache misses are pending (default 256)\n"
-      "  --max-batch n     largest micro-batch dispatched onto the pool\n"
-      "                    (default 32)\n"
       "  --monitors spec   arm runtime monitors (obs/monitor.h); with\n"
       "                    `finite` armed, verdicts built on a non-finite\n"
       "                    integration become monitor errors");
@@ -86,26 +81,20 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!reject_unknown_flags(args, {"help", "port", "threads", "cache-entries",
-                                   "cache-shards", "queue", "max-batch",
-                                   "monitors"})) {
+                                   "cache-shards", "monitors"})) {
     usage();
     return 2;
   }
 
   long long port = 0, threads = 0, cache_entries = 4096, cache_shards = 8;
-  long long queue = 256, max_batch = 32;
   if (!flag_count(args, "port", 65535, &port) ||
       !flag_count(args, "threads", 4096, &threads) ||
       !flag_count(args, "cache-entries", 100'000'000, &cache_entries) ||
-      !flag_count(args, "cache-shards", 4096, &cache_shards) ||
-      !flag_count(args, "queue", 1'000'000, &queue) ||
-      !flag_count(args, "max-batch", 100'000, &max_batch)) {
+      !flag_count(args, "cache-shards", 4096, &cache_shards)) {
     return 2;
   }
-  if (cache_entries == 0 || cache_shards == 0 || queue == 0 ||
-      max_batch == 0) {
-    std::fprintf(stderr, "--cache-entries/--cache-shards/--queue/--max-batch "
-                         "must be positive\n");
+  if (cache_entries == 0 || cache_shards == 0) {
+    std::fprintf(stderr, "--cache-entries/--cache-shards must be positive\n");
     return 2;
   }
 
@@ -114,8 +103,6 @@ int main(int argc, char** argv) {
   config.threads = static_cast<int>(threads);
   config.cache_entries = static_cast<std::size_t>(cache_entries);
   config.cache_shards = static_cast<std::size_t>(cache_shards);
-  config.queue_capacity = static_cast<std::size_t>(queue);
-  config.max_batch = static_cast<std::size_t>(max_batch);
   if (const auto spec = args.get("monitors")) {
     std::string error;
     const auto parsed = obs::parse_monitor_spec(*spec, &error);
