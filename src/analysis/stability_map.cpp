@@ -78,19 +78,17 @@ void adaptive_numeric(const core::BcnParams& base, StabilityMap& map,
     return static_cast<std::size_t>(i) * cols + j;
   };
 
-  int stride = options.initial_stride;
-  if (stride <= 0) {
-    const int target = (std::max(rows, cols) - 1) / 8;
-    stride = 1;
-    while (stride * 2 <= target) stride *= 2;
-  }
+  // Coarse-grid stride: the largest power of two leaving ~9 coarse
+  // points per axis.
+  const int target = (std::max(rows, cols) - 1) / 8;
+  int stride = 1;
+  while (stride * 2 <= target) stride *= 2;
 
   std::vector<std::int8_t> verdict(total, -1);  // -1 unsampled, else 0/1
   std::vector<std::uint8_t> sampled(total, 0);  // sampled or queued
   std::vector<std::int32_t> fill_src(total, -1);
 
   core::BatchVerdictOptions bopts;
-  bopts.oversample = options.oversample;
   bopts.threads = options.threads;
 
   std::vector<std::size_t> pending;
@@ -338,7 +336,6 @@ StabilityMap compute_stability_map(const core::BcnParams& base,
         lanes.push_back(cell_lane(base, cell.gi, cell.gd, options));
       }
       core::BatchVerdictOptions bopts;
-      bopts.oversample = options.oversample;
       bopts.threads = options.threads;
       const auto verdicts = core::batch_numeric_verdicts(lanes, bopts);
       for (std::size_t i = 0; i < map.cells.size(); ++i) {

@@ -87,11 +87,6 @@ struct StabilityMapOptions {
   // thread count.
   int threads = 1;
   MapMode mode = MapMode::Scalar;
-  // Adaptive coarse-grid stride (power of two); 0 derives one targeting
-  // ~9 coarse points per axis.
-  int initial_stride = 0;
-  // Macro steps per characteristic time for the batched integrator.
-  double oversample = 16.0;
   // Optional wave/refinement counters ("map.waves",
   // "map.cells_integrated", "map.max_wave_lanes").
   obs::MetricsRegistry* metrics = nullptr;

@@ -10,6 +10,14 @@
 namespace bcn::core {
 namespace {
 
+// Macro steps per characteristic time 1/rate of the stiffest region.
+// 16 keeps the per-period RK4 amplitude error well under 1e-5, far below
+// the margin of any cell the scalar driver can classify robustly.
+constexpr double kOversample = 16.0;
+// Early-stop threshold on |x|/q0 + |y|/C, matching the scalar
+// pipeline's convergence_tol.
+constexpr double kConvergenceTol = 1e-8;
+
 // Identical to the horizon rule in stability.cpp (kept in lock-step so
 // batched and scalar verdicts integrate the same duration): half a
 // rotation period for spirals, 20 slow time constants for nodes.
@@ -41,19 +49,19 @@ double region_rate(const ode::LaneLaw& law, int r, double capacity) {
 // proportionally larger steps while spiraling on the slow side, where
 // they spend most of the run.  Crossings truncate the step, so a lane
 // never integrates across the surface with the wrong region's dt.
-void auto_dt(const VerdictLane& lane, double oversample, double dt_out[2]) {
+void auto_dt(const VerdictLane& lane, double dt_out[2]) {
   const double r0 = region_rate(lane.law, 0, lane.capacity);
   const double r1 = region_rate(lane.law, 1, lane.capacity);
   const double rmax = std::max(r0, r1);
   if (rmax <= 0.0) {
     // Pure-drive laws (no position/velocity coupling anywhere) have no
     // intrinsic rate; resolve the horizon instead.
-    dt_out[0] = dt_out[1] = lane.duration / (100.0 * oversample);
+    dt_out[0] = dt_out[1] = lane.duration / (100.0 * kOversample);
     return;
   }
   // A rate-free region (pure drive) borrows the other region's step.
-  dt_out[0] = 1.0 / (oversample * (r0 > 0.0 ? r0 : rmax));
-  dt_out[1] = 1.0 / (oversample * (r1 > 0.0 ? r1 : rmax));
+  dt_out[0] = 1.0 / (kOversample * (r0 > 0.0 ? r0 : rmax));
+  dt_out[1] = 1.0 / (kOversample * (r1 > 0.0 ? r1 : rmax));
 }
 
 }  // namespace
@@ -121,12 +129,12 @@ std::vector<NumericVerdict> batch_numeric_verdicts(
     if (lane.dt > 0.0) {
       b.dt[0] = b.dt[1] = lane.dt;
     } else {
-      auto_dt(lane, options.oversample, b.dt);
+      auto_dt(lane, b.dt);
     }
-    if (lane.use_convergence_stop && options.convergence_tol > 0.0) {
+    if (lane.use_convergence_stop) {
       b.inv_x_scale = 1.0 / lane.q0;
       b.inv_y_scale = 1.0 / lane.capacity;
-      b.stop_tol = options.convergence_tol;
+      b.stop_tol = kConvergenceTol;
     }
   }
 

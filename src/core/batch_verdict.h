@@ -43,13 +43,6 @@ struct VerdictLane {
 };
 
 struct BatchVerdictOptions {
-  // Macro steps per characteristic time 1/rate of the stiffest region.
-  // 16 keeps the per-period RK4 amplitude error well under 1e-5, far below the
-  // margin of any cell the scalar driver can classify robustly.
-  double oversample = 16.0;
-  // Early-stop threshold on |x|/q0 + |y|/C, matching the scalar
-  // pipeline's convergence_tol.
-  double convergence_tol = 1e-8;
   int threads = 1;  // exec convention: 0 = hardware, 1 = serial
 };
 
