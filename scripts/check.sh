@@ -72,11 +72,13 @@
 #     (every non-URL link target must exist).  (The cache/protocol/
 #     server unit tests already ran under TSan in gate 1 as part of
 #     bcn_service_tests.)
-# 11. Temp-dir isolation: reruns the test cases that write files (bench
-#     diff, FlatJson, CSV, monitor post-mortems, SVG, Chrome trace
-#     export) twenty times each, eight at a time, in the regular build.  Each case writes under its own pid- and name-qualified
+# 11. Repetition stability: reruns the test cases that write files
+#     (bench diff, FlatJson, CSV, monitor post-mortems, SVG) plus the
+#     whole tracing suite and the timing-dependent service-server suite
+#     twenty times each, eight at a time, in the regular build.  Each
+#     file-writing case writes under its own pid- and name-qualified
 #     temp directory, so concurrent cases must never see each other's
-#     files.
+#     files, and the timing assertions must hold on a loaded host.
 # 12. Memory and UB safety: builds every test suite under AddressSanitizer
 #     + UndefinedBehaviorSanitizer (-DBCN_SANITIZE=address,undefined)
 #     with -Werror in build-asan/, then runs each suite binary directly
@@ -764,18 +766,19 @@ PY
 
 echo "[check.sh] service smoke clean ($SVC_JSON)"
 
-# --- temp-dir isolation -----------------------------------------------------
+# --- repetition stability ---------------------------------------------------
 # ctest runs every case as its own process; under -j8 the file-writing
 # cases of one suite run side by side, which a shared fixed temp path
-# would turn into a flake.
+# would turn into a flake, and timing assertions meet a loaded host.
 cmake --build "$SMOKE_BUILD_DIR" -j \
-  --target bcn_common_tests bcn_obs_tests bcn_sim_tests bcn_plot_tests
-ISOLATION_TESTS='^(BenchDiffTest|FlatJsonTest|JsonWriterTest|CsvParseTest|CsvWriterTest|MonitorWiringTest|SvgTest)\.|^TracingTest\.ChromeTrace'
-(cd "$SMOKE_BUILD_DIR" && ctest -R "$ISOLATION_TESTS" -j8 \
+  --target bcn_common_tests bcn_obs_tests bcn_sim_tests bcn_plot_tests \
+           bcn_service_tests
+REPEAT_TESTS='^(BenchDiffTest|FlatJsonTest|JsonWriterTest|CsvParseTest|CsvWriterTest|MonitorWiringTest|SvgTest|TracingTest|ServerTest)\.'
+(cd "$SMOKE_BUILD_DIR" && ctest -R "$REPEAT_TESTS" -j8 \
   --repeat until-fail:20 --output-on-failure) || {
-  echo "[check.sh] file-writing tests failed under repeated -j8 runs"; exit 1;
+  echo "[check.sh] tests failed under repeated -j8 runs"; exit 1;
 }
-echo "[check.sh] temp-dir isolation clean (20 repeats at -j8)"
+echo "[check.sh] repetition stability clean (20 repeats at -j8)"
 
 # --- ASan + UBSan -----------------------------------------------------------
 ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}

@@ -95,9 +95,12 @@ TEST_F(TracingTest, SelfTimeExcludesChildren) {
   EXPECT_EQ(outer.self_ns, outer.dur_ns - child.dur_ns);
   // The child had no children, so its self time is its duration.
   EXPECT_EQ(child.self_ns, child.dur_ns);
-  // And the child really did spin for ~2 ms while the parent tail was
-  // ~0.5 ms, so exclusive must be well under inclusive.
-  EXPECT_LT(outer.self_ns, outer.dur_ns / 2);
+  // The child spun for at least 2 ms of wall clock, and all of it is
+  // excluded from the parent's self time.  (No upper bound: a
+  // descheduled process stretches either span arbitrarily.)
+  constexpr std::uint64_t kSpinNs = 2'000'000;
+  EXPECT_GE(child.dur_ns, kSpinNs);
+  EXPECT_LE(outer.self_ns + kSpinNs, outer.dur_ns);
 }
 
 TEST_F(TracingTest, RestartReplacesTheSpanInPlaceAndCloseEndsIt) {
