@@ -1,5 +1,6 @@
 #include "analysis/report.h"
 
+#include <functional>
 #include <utility>
 
 #include "analysis/transient.h"
@@ -13,12 +14,44 @@ namespace bcn::analysis {
 
 namespace {
 
-// The stderr line bcn_analyze prints when the finite monitor trips.
-std::string finite_monitor_message(const char* level_name) {
-  return strf(
-      "monitor: finite: %s fluid integration produced a "
-      "non-finite state; no verdict\n",
-      level_name);
+// The numeric verdict at both model levels, shared by both paths: the
+// finite-monitor exit, the report's stable/peak/dip fields and one text
+// line per level.  False when the finite monitor tripped.
+bool render_numeric_levels(
+    const VerdictRequest& request, const char* linearized_label,
+    const char* nonlinear_label,
+    const std::function<core::NumericVerdict(core::ModelLevel)>& verdict_at,
+    VerdictReport& report) {
+  const double q0 = request.params.q0;
+  for (const auto& [level, name] :
+       {std::pair{core::ModelLevel::Linearized, linearized_label},
+        std::pair{core::ModelLevel::Nonlinear, nonlinear_label}}) {
+    const core::NumericVerdict verdict = verdict_at(level);
+    report.nonfinite = report.nonfinite || verdict.nonfinite;
+    if (request.finite_monitor && verdict.nonfinite) {
+      // The stderr line bcn_analyze prints when the monitor trips.
+      report.monitor_error = strf(
+          "monitor: finite: %s fluid integration produced a "
+          "non-finite state; no verdict\n",
+          name);
+      return false;
+    }
+    if (level == core::ModelLevel::Linearized) {
+      report.stable_linearized = verdict.strongly_stable;
+      report.peak_q_linearized = verdict.max_x + q0;
+      report.dip_q_linearized = verdict.min_x + q0;
+    } else {
+      report.stable_nonlinear = verdict.strongly_stable;
+      report.peak_q_nonlinear = verdict.max_x + q0;
+      report.dip_q_nonlinear = verdict.min_x + q0;
+    }
+    report.text += strf("numeric %s: %-22s peak q = %.6g, dip q = %.6g\n",
+                        name,
+                        verdict.strongly_stable ? "strongly stable"
+                                                : "NOT strongly stable",
+                        verdict.max_x + q0, verdict.min_x + q0);
+  }
+  return true;
 }
 
 // The generic path for fluid facets other than BCN's (bcn_analyze's
@@ -50,32 +83,12 @@ void render_mechanism_path(const VerdictRequest& request,
 
   core::MechanismRunOptions mopts;
   mopts.duration = request.duration;
-  for (const auto& [level, name] :
-       {std::pair{core::ModelLevel::Linearized, "linearized"},
-        std::pair{core::ModelLevel::Nonlinear, "nonlinear "}}) {
-    mopts.level = level;
-    const auto verdict = core::mechanism_numeric_verdict(*mech, mopts);
-    report.nonfinite = report.nonfinite || verdict.nonfinite;
-    if (request.finite_monitor && verdict.nonfinite) {
-      report.monitor_error = finite_monitor_message(name);
-      return;
-    }
-    const double q0 = request.params.q0;
-    if (level == core::ModelLevel::Linearized) {
-      report.stable_linearized = verdict.strongly_stable;
-      report.peak_q_linearized = verdict.max_x + q0;
-      report.dip_q_linearized = verdict.min_x + q0;
-    } else {
-      report.stable_nonlinear = verdict.strongly_stable;
-      report.peak_q_nonlinear = verdict.max_x + q0;
-      report.dip_q_nonlinear = verdict.min_x + q0;
-    }
-    report.text += strf("numeric %s: %-22s peak q = %.6g, dip q = %.6g\n",
-                        name,
-                        verdict.strongly_stable ? "strongly stable"
-                                                : "NOT strongly stable",
-                        verdict.max_x + q0, verdict.min_x + q0);
-  }
+  render_numeric_levels(request, "linearized", "nonlinear ",
+                        [&](core::ModelLevel level) {
+                          mopts.level = level;
+                          return core::mechanism_numeric_verdict(*mech, mopts);
+                        },
+                        report);
 }
 
 // The closed-form path (bcn / bcn-draft share BCN's fluid facet).
@@ -90,29 +103,14 @@ void render_bcn_path(const VerdictRequest& request, VerdictReport& report) {
   report.theorem1_required_buffer = analysis.theorem1_required_buffer;
   report.text += strf("analysis: %s\n\n", analysis.summary().c_str());
 
-  for (const auto& [level, name] :
-       {std::pair{core::ModelLevel::Linearized, "linearized (eq.9) "},
-        std::pair{core::ModelLevel::Nonlinear, "nonlinear  (eq.8) "}}) {
-    const auto verdict = core::numeric_strong_stability(p, {.level = level});
-    report.nonfinite = report.nonfinite || verdict.nonfinite;
-    if (request.finite_monitor && verdict.nonfinite) {
-      report.monitor_error = finite_monitor_message(name);
-      return;
-    }
-    if (level == core::ModelLevel::Linearized) {
-      report.stable_linearized = verdict.strongly_stable;
-      report.peak_q_linearized = verdict.max_x + p.q0;
-      report.dip_q_linearized = verdict.min_x + p.q0;
-    } else {
-      report.stable_nonlinear = verdict.strongly_stable;
-      report.peak_q_nonlinear = verdict.max_x + p.q0;
-      report.dip_q_nonlinear = verdict.min_x + p.q0;
-    }
-    report.text += strf("numeric %s: %-22s peak q = %.6g, dip q = %.6g\n",
-                        name,
-                        verdict.strongly_stable ? "strongly stable"
-                                                : "NOT strongly stable",
-                        verdict.max_x + p.q0, verdict.min_x + p.q0);
+  if (!render_numeric_levels(request, "linearized (eq.9) ",
+                             "nonlinear  (eq.8) ",
+                             [&](core::ModelLevel level) {
+                               return core::numeric_strong_stability(
+                                   p, {.level = level});
+                             },
+                             report)) {
+    return;
   }
 
   if (const auto est = analysis::estimate_transient(p)) {

@@ -9,8 +9,9 @@
 //
 // Three execution strategies for the numeric ground truth:
 //
-//   * Scalar — the legacy path: one adaptive hybrid integration per cell
-//     (byte-identical to the historical artifacts, any thread count);
+//   * Scalar — the oracle: one adaptive hybrid integration per cell
+//     (core::numeric_strong_stability; byte-identical at any thread
+//     count);
 //   * Batch — every cell becomes a lane of the SoA ode::BatchIntegrator
 //     (core/batch_verdict.h): same verdicts, several times the
 //     cells/sec;
@@ -82,7 +83,7 @@ struct StabilityMapOptions {
   core::ModelLevel numeric_level = core::ModelLevel::Linearized;
   double numeric_duration = 0.0;  // 0 -> auto
   // Worker threads for the per-cell evaluation (0 = all hardware threads,
-  // 1 = legacy serial path).  Cells are independent and land in the
+  // 1 = serial).  Cells are independent and land in the
   // output vector by index, so the map is bitwise identical at any
   // thread count.
   int threads = 1;

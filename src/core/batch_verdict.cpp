@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
-#include "core/classifier.h"
 #include "exec/parallel_for.h"
 
 namespace bcn::core {
@@ -14,23 +12,6 @@ namespace {
 // 16 keeps the per-period RK4 amplitude error well under 1e-5, far below
 // the margin of any cell the scalar driver can classify robustly.
 constexpr double kOversample = 16.0;
-// Early-stop threshold on |x|/q0 + |y|/C, matching the scalar
-// pipeline's convergence_tol.
-constexpr double kConvergenceTol = 1e-8;
-
-// Identical to the horizon rule in stability.cpp (kept in lock-step so
-// batched and scalar verdicts integrate the same duration): half a
-// rotation period for spirals, 20 slow time constants for nodes.
-double region_time_scale(const control::SecondOrderSystem& sys) {
-  const double disc = sys.discriminant();
-  if (disc < 0.0) {
-    const double beta = std::sqrt(-disc) / 2.0;
-    return std::numbers::pi / beta;
-  }
-  const auto eig = sys.eigenvalues();
-  const double slow = std::abs(eig[1].real());  // eigenvalue closest to 0
-  return slow > 0.0 ? 20.0 / slow : 1.0;
-}
 
 // Fastest linearized rate of one region of a lane law.  The law's
 // second-order form at the origin is lambda^2 + m lambda + n with
@@ -86,11 +67,7 @@ VerdictLane make_bcn_verdict_lane(const BcnParams& params, ModelLevel level,
   lane.q0 = params.q0;
   lane.capacity = params.capacity;
   lane.buffer = params.buffer;
-  lane.duration = duration;
-  if (lane.duration <= 0.0) {
-    lane.duration = 10.0 * (region_time_scale(increase_subsystem(params)) +
-                            region_time_scale(decrease_subsystem(params)));
-  }
+  lane.duration = duration <= 0.0 ? verdict_horizon(params) : duration;
   return lane;
 }
 
@@ -154,15 +131,8 @@ std::vector<NumericVerdict> batch_numeric_verdicts(
         integrator.run_to_completion();
         const auto& results = integrator.results();
         for (std::size_t i = lo; i < hi; ++i) {
-          const ode::LaneResult& r = results[i - lo];
-          NumericVerdict& v = out[i];
-          v.max_x = r.max_x;
-          v.min_x = r.post_switch_min_x;
-          v.converged = r.converged;
-          v.nonfinite = r.nonfinite;
-          v.strongly_stable = r.max_x < lanes[i].buffer - lanes[i].q0 &&
-                              r.post_switch_min_x > -lanes[i].q0 &&
-                              r.completed && !r.nonfinite;
+          out[i] = score_numeric_verdict(results[i - lo], lanes[i].q0,
+                                         lanes[i].buffer);
         }
       },
       {.threads = options.threads});

@@ -5,16 +5,15 @@
 // A VerdictLane packages one (plant, gains, level) cell as an affine
 // lane law plus the buffer-strip geometry; batch_numeric_verdicts runs
 // any number of them through the batched integrator — optionally sliced
-// across the exec layer — and scores each with the exact scalar verdict
-// predicate: max_x < B - q0, post-switch min_x > -q0, run completed.
+// across the exec layer — and scores each with the scalar paths' own
+// predicate, core::score_numeric_verdict.
 //
-// Integration horizons replicate the scalar auto-duration rule (10x the
-// summed region time scales) bit for bit, and each region's fixed macro
-// step is sized from that region's own linearized rates, so verdicts
-// agree with the adaptive scalar driver on everything but razor-thin
-// boundary cells.  The Clipped model level has buffer-wall modes outside the
-// affine lane family and is not representable here — callers fall back
-// to the scalar path for it.
+// BCN lanes take the scalar auto horizon from core::verdict_horizon,
+// and each region's fixed macro step is sized from that region's own
+// linearized rates, so verdicts agree with the adaptive scalar driver on
+// everything but razor-thin boundary cells.  The Clipped model level has
+// buffer-wall modes outside the affine lane family and is not
+// representable here — callers fall back to the scalar path for it.
 #pragma once
 
 #include <optional>
@@ -51,8 +50,8 @@ struct BatchVerdictOptions {
 ode::LaneLaw bcn_lane_law(const BcnParams& params, ModelLevel level);
 
 // Builds the verdict lane matching core::numeric_strong_stability for
-// these parameters: same start (-q0, 0), same auto-duration formula.
-// `duration` 0 selects the auto horizon.
+// these parameters: same start (-q0, 0), same auto horizon
+// (core::verdict_horizon, selected by `duration` 0).
 VerdictLane make_bcn_verdict_lane(const BcnParams& params, ModelLevel level,
                                   double duration = 0.0);
 

@@ -1,9 +1,5 @@
 #include "core/mechanism.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "core/batch_verdict.h"
 
 namespace bcn::core {
@@ -370,68 +366,24 @@ std::unique_ptr<FluidMechanism> make_fluid_mechanism(
 
 FluidRun simulate_fluid_mechanism(const FluidMechanism& mechanism,
                                   const MechanismRunOptions& options) {
-  const BcnParams& p = mechanism.plant();
-  const Vec2 z0 = mechanism.analysis_initial_point();
-
-  ode::HybridOptions hopts;
-  hopts.tol = options.tol;
-  hopts.record_interval = options.record_interval;
-  if (options.convergence_tol > 0.0 && mechanism.has_equilibrium()) {
-    const double q0 = p.q0;
-    const double cap = p.capacity;
-    const double tol = options.convergence_tol;
-    hopts.stop_when = [q0, cap, tol](double /*t*/, Vec2 z) {
-      return std::abs(z.x) / q0 + std::abs(z.y) / cap < tol;
-    };
-  }
-
-  const ode::HybridResult hybrid =
-      ode::integrate_hybrid(mechanism.hybrid_system(options.level), 0.0, z0,
-                            options.duration, hopts);
-
-  FluidRun run;
-  run.trajectory = hybrid.trajectory;
-  run.switches = hybrid.switches;
-  run.completed = hybrid.completed;
-  run.converged = hybrid.stopped_early;
-  run.steps_accepted = hybrid.steps_accepted;
-  run.steps_rejected = hybrid.steps_rejected;
-  run.min_step = hybrid.min_accepted_step;
-  run.event_bisections = hybrid.event_bisection_iterations;
-
-  const std::size_t start = run.trajectory.size() > 1 ? 1 : 0;
-  const double t_gate = run.switches.empty()
-                            ? std::numeric_limits<double>::infinity()
-                            : run.switches.front().t;
-  run.max_x = run.min_x = run.trajectory[start].z.x;
-  run.max_y = run.min_y = run.trajectory[start].z.y;
-  for (std::size_t i = start; i < run.trajectory.size(); ++i) {
-    const auto& s = run.trajectory[i];
-    run.max_x = std::max(run.max_x, s.z.x);
-    run.min_x = std::min(run.min_x, s.z.x);
-    run.max_y = std::max(run.max_y, s.z.y);
-    run.min_y = std::min(run.min_y, s.z.y);
-    if (s.t >= t_gate) {
-      run.post_switch_max_x = std::max(run.post_switch_max_x, s.z.x);
-      run.post_switch_min_x = std::min(run.post_switch_min_x, s.z.x);
-    }
-  }
-  return run;
+  FluidRunOptions ropts;
+  ropts.duration = options.duration;
+  ropts.record_interval = options.record_interval;
+  ropts.tol = options.tol;
+  ropts.convergence_tol = options.convergence_tol;
+  return simulate_hybrid_fluid(mechanism.hybrid_system(options.level),
+                               mechanism.plant(),
+                               mechanism.analysis_initial_point(), ropts,
+                               mechanism.has_equilibrium());
 }
 
 NumericVerdict mechanism_numeric_verdict(const FluidMechanism& mechanism,
                                          const MechanismRunOptions& options) {
   MechanismRunOptions opts = options;
-  if (opts.convergence_tol == 0.0) opts.convergence_tol = 1e-8;
+  if (opts.convergence_tol == 0.0) opts.convergence_tol = kConvergenceTol;
   const FluidRun run = simulate_fluid_mechanism(mechanism, opts);
-  NumericVerdict verdict;
-  verdict.max_x = run.max_x;
-  verdict.min_x = run.post_switch_min_x;
-  verdict.converged = run.converged;
-  verdict.strongly_stable = run.max_x < mechanism.x_max() &&
-                            run.post_switch_min_x > mechanism.x_min() &&
-                            run.completed;
-  return verdict;
+  return score_numeric_verdict(run, mechanism.plant().q0,
+                               mechanism.plant().buffer);
 }
 
 }  // namespace bcn::core

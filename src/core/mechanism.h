@@ -174,15 +174,16 @@ struct MechanismRunOptions {
   double convergence_tol = 0.0;
 };
 
-// Integrates a mechanism's switched system from the analysis start,
-// mirroring core::simulate_fluid for FluidModel.
+// Integrates a mechanism's switched system from the analysis start
+// through the same driver as core::simulate_fluid
+// (core::simulate_hybrid_fluid).
 FluidRun simulate_fluid_mechanism(const FluidMechanism& mechanism,
                                   const MechanismRunOptions& options = {});
 
 // Numeric strong-stability verdict generalized to any fluid facet: the
 // orbit must stay strictly inside the buffer strip after its first
-// switching event.  For BCN this agrees with
-// core::numeric_strong_stability.
+// switching event (core::score_numeric_verdict).  For BCN this agrees
+// with core::numeric_strong_stability.
 NumericVerdict mechanism_numeric_verdict(const FluidMechanism& mechanism,
                                          const MechanismRunOptions& options = {});
 

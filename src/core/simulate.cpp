@@ -2,33 +2,41 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace bcn::core {
 
 FluidRun simulate_fluid(const FluidModel& model,
                         const FluidRunOptions& options) {
-  const BcnParams& p = model.params();
-  const Vec2 z0 = options.z0.value_or(model.analysis_initial_point());
+  return simulate_hybrid_fluid(
+      model.hybrid_system(), model.params(),
+      options.z0.value_or(model.analysis_initial_point()), options,
+      /*stop_at_origin=*/true);
+}
 
+FluidRun simulate_hybrid_fluid(const ode::HybridSystem& system,
+                               const BcnParams& plant, Vec2 z0,
+                               const FluidRunOptions& options,
+                               bool stop_at_origin) {
   ode::HybridOptions hopts;
   hopts.tol = options.tol;
   hopts.record_interval = options.record_interval;
   hopts.max_steps = options.max_steps;
-  if (options.convergence_tol > 0.0) {
-    const double q0 = p.q0;
-    const double cap = p.capacity;
+  if (options.convergence_tol > 0.0 && stop_at_origin) {
+    const double q0 = plant.q0;
+    const double cap = plant.capacity;
     const double tol = options.convergence_tol;
     hopts.stop_when = [q0, cap, tol](double /*t*/, Vec2 z) {
       return std::abs(z.x) / q0 + std::abs(z.y) / cap < tol;
     };
   }
 
-  const ode::HybridResult hybrid = ode::integrate_hybrid(
-      model.hybrid_system(), 0.0, z0, options.duration, hopts);
+  ode::HybridResult hybrid =
+      ode::integrate_hybrid(system, 0.0, z0, options.duration, hopts);
 
   FluidRun run;
-  run.trajectory = hybrid.trajectory;
-  run.switches = hybrid.switches;
+  run.trajectory = std::move(hybrid.trajectory);
+  run.switches = std::move(hybrid.switches);
   run.completed = hybrid.completed;
   run.converged = hybrid.stopped_early;
   run.steps_accepted = hybrid.steps_accepted;

@@ -59,4 +59,14 @@ struct FluidRun {
 FluidRun simulate_fluid(const FluidModel& model,
                         const FluidRunOptions& options = {});
 
+// The one scalar driver behind simulate_fluid and
+// core::simulate_fluid_mechanism: integrates `system` on `plant` from z0
+// (options.z0 is not consulted) and summarizes the run.  The
+// convergence stop is armed only when `stop_at_origin` is set, since a
+// system without an equilibrium never satisfies it.
+FluidRun simulate_hybrid_fluid(const ode::HybridSystem& system,
+                               const BcnParams& plant, Vec2 z0,
+                               const FluidRunOptions& options,
+                               bool stop_at_origin);
+
 }  // namespace bcn::core

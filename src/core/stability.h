@@ -53,6 +53,36 @@ struct NumericVerdict {
   double min_x = 0.0;
 };
 
+// Early-stop threshold on |x|/q0 + |y|/C shared by every numeric
+// verdict path, scalar and batched.
+inline constexpr double kConvergenceTol = 1e-8;
+
+// Definition 1 applied to an integrated run -- a FluidRun or an
+// ode::LaneResult, whichever driver produced it.  Overflow: any
+// excursion above B - q0 at any t > 0 drops packets.  Underflow: only
+// the post-crossing dip matters; the departure from the legitimate
+// empty-queue start is not a violation.  A run that did not complete or
+// went non-finite is never strongly stable.
+template <class Run>
+NumericVerdict score_numeric_verdict(const Run& run, double q0,
+                                     double buffer) {
+  NumericVerdict verdict;
+  verdict.max_x = run.max_x;
+  verdict.min_x = run.post_switch_min_x;
+  verdict.converged = run.converged;
+  verdict.nonfinite = run.nonfinite;
+  verdict.strongly_stable = verdict.max_x < buffer - q0 &&
+                            verdict.min_x > -q0 && run.completed &&
+                            !run.nonfinite;
+  return verdict;
+}
+
+// The auto integration horizon of numeric_strong_stability and
+// make_bcn_verdict_lane: 10x the summed increase/decrease region time
+// scales (half a rotation period for spirals, 20 slow time constants
+// for nodes).
+double verdict_horizon(const BcnParams& params);
+
 struct NumericVerdictOptions {
   ModelLevel level = ModelLevel::Nonlinear;
   double duration = 0.0;  // 0 -> auto from the subsystem time scales

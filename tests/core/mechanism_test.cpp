@@ -221,5 +221,51 @@ TEST(FluidFacetTest, RcpSettlesNearTheOrigin) {
   EXPECT_LT(std::abs(tail.z.y), 0.1 * cfg.plant.capacity);
 }
 
+// A damped oscillator whose field turns NaN after t = 1e-4: the
+// integrator's non-finite guard must reach the mechanism-path run and
+// verdict, not just ode::integrate_hybrid.
+class NanAfterMechanism final : public FluidMechanism {
+ public:
+  explicit NanAfterMechanism(const BcnParams& plant) : FluidMechanism(plant) {}
+  const char* name() const override { return "nan-after"; }
+  double sigma(Vec2 z) const override { return -z.x; }
+  ode::HybridSystem hybrid_system(ModelLevel /*level*/) const override {
+    ode::HybridSystem system;
+    system.modes.push_back([](double t, Vec2 z) -> Vec2 {
+      if (t > 1e-4) return {std::nan(""), std::nan("")};
+      return {z.y, -1e8 * z.x - 1e4 * z.y};
+    });
+    system.mode_of = [](double /*t*/, Vec2 /*z*/) { return 0; };
+    return system;
+  }
+  std::vector<RegionLaw> region_laws() const override { return {}; }
+  double group_rate_deriv(double, double, double, double) const override {
+    return 0.0;
+  }
+};
+
+TEST(FluidFacetTest, NonFiniteFieldReachesRunAndVerdict) {
+  const NanAfterMechanism mech(slow_regime());
+  const FluidRun run = simulate_fluid_mechanism(mech);
+  EXPECT_TRUE(run.nonfinite);
+  EXPECT_FALSE(run.completed);
+  EXPECT_LE(run.nonfinite_t, 1e-4);
+  const NumericVerdict verdict = mechanism_numeric_verdict(mech);
+  EXPECT_TRUE(verdict.nonfinite);
+  EXPECT_FALSE(verdict.strongly_stable);
+}
+
+TEST(FluidFacetTest, NonFiniteStartIsNotStable) {
+  MechanismConfig cfg;
+  cfg.plant.q0 = std::nan("");
+  const auto mech = make_fluid_mechanism("qcn", cfg);
+  const FluidRun run = simulate_fluid_mechanism(*mech);
+  EXPECT_TRUE(run.nonfinite);
+  EXPECT_TRUE(run.trajectory.empty());
+  const NumericVerdict verdict = mechanism_numeric_verdict(*mech);
+  EXPECT_TRUE(verdict.nonfinite);
+  EXPECT_FALSE(verdict.strongly_stable);
+}
+
 }  // namespace
 }  // namespace bcn::core
