@@ -9,7 +9,6 @@
 
 #include "analysis/stability_map.h"
 #include "analysis/sweep.h"
-#include "core/batch_verdict.h"
 #include "bench_util.h"
 #include "common/csv.h"
 #include "common/format.h"
@@ -40,50 +39,17 @@ int run_generic_map(bench::RunContext& ctx, const core::MechanismInfo& info,
     double max_x = 0.0;
     double min_x = 0.0;
   };
-  std::vector<Cell> cells;
-  bool batched = ctx.map_mode != analysis::MapMode::Scalar;
-  if (batched) {
-    // Batched path: every cell's mechanism exposes its affine lane law
-    // and the whole grid goes through the SoA integrator at once.  (The
-    // quadtree refinement is a (Gi, Gd)/BCN-map feature; for generic
-    // maps adaptive degrades to plain batch.)
-    std::vector<core::VerdictLane> lanes;
-    lanes.reserve(g1.size() * g2.size());
-    for (std::size_t idx = 0; idx < g1.size() * g2.size(); ++idx) {
-      core::MechanismConfig cfg;
-      cfg.plant = base;
-      info.set_gains(cfg, g1[idx / g2.size()], g2[idx % g2.size()]);
-      const auto mech = core::make_fluid_mechanism(info.name, cfg);
-      const auto lane = core::make_mechanism_verdict_lane(*mech);
-      if (!lane) {
-        batched = false;  // no lane form: fall back to the scalar path
-        lanes.clear();
-        break;
-      }
-      lanes.push_back(*lane);
-    }
-    if (batched) {
-      const auto verdicts =
-          core::batch_numeric_verdicts(lanes, {.threads = ctx.threads});
-      cells.reserve(verdicts.size());
-      for (const auto& v : verdicts) {
-        cells.push_back({v.strongly_stable, v.max_x, v.min_x});
-      }
-    }
-  }
-  if (!batched) {
-    cells = exec::parallel_map<Cell>(
-        g1.size() * g2.size(),
-        [&, d1 = d1, d2 = d2](std::size_t idx) {
-          core::MechanismConfig cfg;
-          cfg.plant = base;
-          info.set_gains(cfg, g1[idx / g2.size()], g2[idx % g2.size()]);
-          const auto mech = core::make_fluid_mechanism(info.name, cfg);
-          const auto verdict = core::mechanism_numeric_verdict(*mech);
-          return Cell{verdict.strongly_stable, verdict.max_x, verdict.min_x};
-        },
-        {.threads = ctx.threads});
-  }
+  const auto cells = exec::parallel_map<Cell>(
+      g1.size() * g2.size(),
+      [&](std::size_t idx) {
+        core::MechanismConfig cfg;
+        cfg.plant = base;
+        info.set_gains(cfg, g1[idx / g2.size()], g2[idx % g2.size()]);
+        const auto mech = core::make_fluid_mechanism(info.name, cfg);
+        const auto verdict = core::mechanism_numeric_verdict(*mech);
+        return Cell{verdict.strongly_stable, verdict.max_x, verdict.min_x};
+      },
+      {.threads = ctx.threads});
 
   std::printf("\nmechanism: %s -- %s\n", info.name, info.summary);
   std::printf("map legend: generic numeric verdict per cell -- '#' bounded "
@@ -161,14 +127,7 @@ int run(bench::RunContext& ctx) {
       base, gi, gd,
       {.numeric_level = core::ModelLevel::Linearized,
        .threads = ctx.threads,
-       .mode = ctx.map_mode,
        .metrics = ctx.metrics});
-  if (ctx.map_mode != analysis::MapMode::Scalar) {
-    std::printf("\nmap mode %s: integrated %zu/%zu cells in %d wave(s)\n",
-                analysis::to_string(ctx.map_mode).c_str(),
-                map.integrated_cells, map.cells.size(),
-                map.refinement_waves);
-  }
 
   std::printf("\nmap legend: numeric ground truth per cell -- '#' strongly "
               "stable, '.' unstable; columns Gd=%.4g..%.4g (log), rows "

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/stability_map.h"
 #include "common/args.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
@@ -44,10 +43,6 @@ struct RunContext {
   // core::mechanism_registry().  Experiments that run a single-mechanism
   // scenario forward it into their NetworkConfig / fluid facet.
   std::string mechanism = "bcn";
-  // Stability-map execution strategy from --map-mode {scalar, batch,
-  // adaptive}.  Experiments computing maps forward it into
-  // analysis::StabilityMapOptions.
-  analysis::MapMode map_mode = analysis::MapMode::Scalar;
   // Runtime invariant monitors + flight recorder from --monitors /
   // BCN_MONITORS (obs/monitor.h); unarmed by default.  bench_main
   // pre-fills the bundle directory, the exact repro command line and the

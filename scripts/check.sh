@@ -37,7 +37,8 @@
 #     (artifact present, zero verdict mismatches for both batched modes,
 #     scalar and batch stable-cell counts equal, adaptive refinement
 #     integrating under half the grid), requires a threshold-0 self-diff
-#     to pass, and checks --map-mode bogus is rejected with exit 2.
+#     to pass, and checks the retired --map-mode flag is rejected as an
+#     unknown flag with exit 2.
 #  8. Monitor smoke: arms every runtime invariant monitor on a clean run
 #     (must exit 0 with monitor.* metrics and zero violations in the RUN
 #     json), provokes the fluid-verdict crosscheck with the EXPERIMENTS.md
@@ -384,17 +385,18 @@ PY
   echo "[check.sh] map-throughput self-diff failed"; exit 1;
 }
 
-# An unknown map mode must be a usage error (exit 2) naming the choices.
+# The runner has no map-mode flag (E22 runs all three strategies
+# itself): --map-mode must take the unknown-flag path (exit 2).
 set +e
-MAP_ERR=$("$MAP_BENCH" --run map_throughput --map-mode bogus \
+MAP_ERR=$("$MAP_BENCH" --run map_throughput --map-mode scalar \
   --out "$MAP_OUT" 2>&1)
 MAP_STATUS=$?
 set -e
 [[ $MAP_STATUS -eq 2 ]] || {
-  echo "[check.sh] --map-mode bogus exited $MAP_STATUS, want 2"; exit 1;
+  echo "[check.sh] --map-mode scalar exited $MAP_STATUS, want 2"; exit 1;
 }
-grep -q "unknown mode 'bogus'" <<< "$MAP_ERR" || {
-  echo "[check.sh] --map-mode bogus printed no usage line"; exit 1;
+grep -q "unknown flag --map-mode" <<< "$MAP_ERR" || {
+  echo "[check.sh] --map-mode scalar printed no unknown-flag line"; exit 1;
 }
 
 echo "[check.sh] map throughput smoke clean ($MAP_JSON)"
