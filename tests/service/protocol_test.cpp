@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "analysis/report.h"
@@ -237,6 +238,43 @@ TEST(Execute, SvgPlotReturnsRenderedDocument) {
   ASSERT_TRUE(svg);
   EXPECT_NE(svg->find("<svg"), std::string::npos);
   EXPECT_NE(svg->find("queue transient"), std::string::npos);
+}
+
+// FNV-1a over a response body: the fluid-backed ops are pinned per
+// mechanism, so a change to how they integrate cannot move a byte.
+std::uint64_t body_hash(const std::string& body) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : body) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+TEST(Execute, FluidOpBodiesMatchPins) {
+  struct Pin {
+    const char* mechanism;
+    std::uint64_t crossval;
+    std::uint64_t svg_plot;
+  };
+  for (const Pin& pin :
+       {Pin{"bcn", 0x3ade3f92fd2d434aull, 0x8874c0b17ce9671dull},
+        Pin{"bcn-draft", 0xe0fd2b22d8bd552cull, 0x391f97886eb70edbull},
+        Pin{"qcn", 0x71c6630122096299ull, 0x8df689e4e8124464ull},
+        Pin{"rcp", 0x7e1533b2c2d19c24ull, 0xa2537fcea9228438ull}}) {
+    const std::string mech = std::string("\"mechanism\":\"") +
+                             pin.mechanism + "\"";
+    const auto crossval = execute(
+        must_parse("{\"op\":\"crossval\"," + mech + "}"),
+        ServiceOptions{}, nullptr);
+    ASSERT_FALSE(crossval.error) << crossval.body;
+    EXPECT_EQ(body_hash(crossval.body), pin.crossval)
+        << pin.mechanism << std::hex << " crossval=0x"
+        << body_hash(crossval.body);
+    const auto svg = execute(
+        must_parse("{\"op\":\"svg_plot\"," + mech + "}"), ServiceOptions{},
+        nullptr);
+    ASSERT_FALSE(svg.error) << svg.body;
+    EXPECT_EQ(body_hash(svg.body), pin.svg_plot)
+        << pin.mechanism << std::hex << " svg_plot=0x" << body_hash(svg.body);
+  }
 }
 
 TEST(Execute, ControlPlaneOps) {
