@@ -21,10 +21,11 @@
 // trajectory digest are bitwise-identical for every shard count,
 // including 1.  tests/sim/shard_determinism_test.cpp pins this.
 //
-// Cross-shard records travel over lock-free bounded MPSC inboxes (one
-// per shard).  A producer facing a full inbox drains its *own* inbox
-// into staging buckets while it spins, and barrier waiters drain too,
-// so bounded queues cannot deadlock the epoch protocol.
+// A cross-shard record staged in epoch e goes to the producer's outbox
+// for its destination, one plain vector per (epoch parity, destination);
+// the destination appends it to its staging buckets at the top of epoch
+// e+1, while producers write the other parity.  The barrier orders the
+// whole exchange, so it needs no lock or atomic of its own.
 //
 // Observability is per-shard and merged deterministically after the
 // join: counters sum; queue-occupancy series add exactly (queue bits
@@ -53,8 +54,8 @@ struct FabricOptions {
   RegulatorConfig regulator;
   double initial_rate = 1e9;  // every flow starts here [bits/s]
   SimTime duration = 50 * kMillisecond;
-  // Queue-occupancy sampling cadence; rounded up to a whole number of
-  // epochs so the sample instants are shard-invariant.
+  // Queue-occupancy sampling cadence; rounded down to a whole number of
+  // epochs (at least one) so the sample instants are shard-invariant.
   SimTime sample_interval = kMillisecond;
   std::uint32_t trace_port = 0;  // port whose series enters the digest
   // Per-shard runtime monitors (unarmed by default).  The engine always

@@ -52,8 +52,8 @@ inline bool transfer_before(const TransferRecord& a, const TransferRecord& b) {
 }
 
 // Where entities stage their outgoing handoffs; implemented by the
-// engine's Shard (engine.cpp), which routes to a local epoch bucket or a
-// cross-shard MPSC inbox.
+// engine's Shard (engine.cpp), which routes to a local epoch bucket or
+// to its outbox for the destination shard.
 class TransferSink {
  public:
   virtual void stage(const TransferRecord& record) = 0;
