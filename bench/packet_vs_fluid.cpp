@@ -51,20 +51,12 @@ int run(bench::RunContext& ctx) {
 
   constexpr double kDuration = 0.04;
 
-  // Fluid runs.  The default BCN path goes through FluidModel directly;
-  // other mechanisms integrate their own fluid facet.  FERA is
-  // packet-only: its fluid side is skipped entirely.
+  // Fluid runs: each mechanism integrates its own fluid facet (BCN's is
+  // FluidModel).  FERA is packet-only: its fluid side is skipped
+  // entirely.
   core::FluidRun lin, non;
   const bool has_fluid = core::find_mechanism(ctx.mechanism)->has_fluid;
-  if (ctx.mechanism == "bcn" || ctx.mechanism == "bcn-draft") {
-    core::FluidRunOptions fopts;
-    fopts.duration = kDuration;
-    fopts.record_interval = 2e-5;
-    lin = core::simulate_fluid(
-        core::FluidModel(p, core::ModelLevel::Linearized), fopts);
-    non = core::simulate_fluid(
-        core::FluidModel(p, core::ModelLevel::Nonlinear), fopts);
-  } else if (has_fluid) {
+  if (has_fluid) {
     core::MechanismConfig mcfg;
     mcfg.plant = p;
     const auto mech = core::make_fluid_mechanism(ctx.mechanism, mcfg);
@@ -75,8 +67,6 @@ int run(bench::RunContext& ctx) {
     lin = core::simulate_fluid_mechanism(*mech, mopts);
     mopts.level = core::ModelLevel::Nonlinear;
     non = core::simulate_fluid_mechanism(*mech, mopts);
-  }
-  if (has_fluid) {
     bench::record_fluid_metrics(lin, ctx.metrics);
     bench::record_fluid_metrics(non, ctx.metrics);
   }
