@@ -48,16 +48,17 @@
 #     across reruns, and checks a bogus --monitors spec is rejected with
 #     exit 2 and the grammar.
 #  9. Sharded-engine smoke: runs a small fat-tree through bcn_fabric at
-#     --shards 1 and --shards 4 and requires the shard-invariant JSON
+#     --shards 1, 4 and 7 (more shards than a 4-CPU host has cores, on
+#     an uneven partition) and requires the shard-invariant JSON
 #     artifacts to be byte-identical (the cross-shard determinism
 #     contract, end-to-end), runs the E23 sharded_throughput bench on a
 #     small configuration (the bench itself exits 1 if the digest varies
 #     with the shard count), validates BENCH_sharded_throughput.json and
 #     self-diffs it with --require-same-keys at threshold 0, and checks
-#     --shards bogus is rejected with exit 2.  (The MPSC-queue torture
-#     and the shard determinism tests already ran under TSan in gate 1
-#     as part of bcn_sim_tests.)  Speedups are reported, deliberately
-#     not gated: they depend on the host's hardware threads.
+#     --shards bogus is rejected with exit 2.  (The shard determinism
+#     tests already ran under TSan in gate 1 as part of bcn_sim_tests.)
+#     Speedups are reported, deliberately not gated: they depend on the
+#     host's hardware threads.
 # 10. Service smoke: starts bcn_serve on an ephemeral port, drives a
 #     scripted bcn_load session, replays every verdict answer through
 #     bcn_analyze with the echoed parameters and requires the `text`
@@ -506,6 +507,11 @@ FABRIC_ARGS=(--topology fat-tree:4 --flows-per-host 4 --duration-us 2000
   --json "$SHARD_OUT/fabric_s4.json" > /dev/null
 cmp "$SHARD_OUT/fabric_s1.json" "$SHARD_OUT/fabric_s4.json" || {
   echo "[check.sh] fabric artifact differs between --shards 1 and 4"; exit 1;
+}
+"$FABRIC_TOOL" "${FABRIC_ARGS[@]}" --shards 7 \
+  --json "$SHARD_OUT/fabric_s7.json" > /dev/null
+cmp "$SHARD_OUT/fabric_s1.json" "$SHARD_OUT/fabric_s7.json" || {
+  echo "[check.sh] fabric artifact differs between --shards 1 and 7"; exit 1;
 }
 python3 - "$SHARD_OUT/fabric_s1.json" <<'PY'
 import json, sys
