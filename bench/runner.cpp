@@ -23,20 +23,6 @@ const std::vector<std::string> kStandardFlags = {
     "help", "list", "run", "threads", "out", "seed", "json", "trace",
     "faults", "mechanism", "monitors", "shards"};
 
-// Strict non-negative integer parse for --shards: ArgParser::get_int
-// silently falls back on garbage, but a malformed shard count must be a
-// usage error (exit 2), not a silent single-shard run.
-bool parse_shard_count(const std::string& text, int* out) {
-  if (text.empty() || text.size() > 6) return false;
-  int value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-  }
-  *out = value;
-  return true;
-}
-
 void print_usage(const char* prog) {
   std::printf(
       "usage: %s [--run name] [--threads n] [--out dir] [--seed n]\n"
@@ -134,25 +120,8 @@ int bench_main(int argc, const char* const* argv) {
   ctx.args = &args;
   ctx.threads = thread_count(args, 1);
   ctx.seed = static_cast<std::uint64_t>(args.get_int("seed", 0));
-  {
-    std::optional<std::string> spec = args.get("shards");
-    if (!spec) {
-      if (const char* env = std::getenv("BCN_SHARDS")) {
-        if (*env) spec = env;
-      }
-    }
-    if (spec) {
-      int shards = 1;
-      if (!parse_shard_count(*spec, &shards)) {
-        std::fprintf(stderr,
-                     "--shards: bad shard count '%s' (expected a "
-                     "non-negative integer; 0 = all hardware threads)\n",
-                     spec->c_str());
-        return 2;
-      }
-      ctx.shards = shards == 0 ? exec::resolve_threads(0) : shards;
-    }
-  }
+  if (!shard_count(args, &ctx.shards)) return 2;
+  if (ctx.shards == 0) ctx.shards = exec::resolve_threads(0);
   // Raw spec strings, kept verbatim for the post-mortem repro line.
   std::string faults_spec;
   std::string monitors_spec;

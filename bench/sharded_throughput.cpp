@@ -13,6 +13,10 @@
 //      8 shards, with the trajectory digest required to be
 //      bitwise-identical across every count (exit 1 on mismatch).
 //
+// Every events/sec times the simulation loop alone: the epoch loop that
+// run_fabric reports as run_seconds (no partition, shard build or pool
+// start) and Network::run (no constructor) on the unsharded side.
+//
 // Determinism is the gate; wall-clock speedups are reported, deliberately
 // not gated -- they are machine-dependent (a 1-hardware-thread host
 // timeshares the shards and cannot speed up at all; the artifact carries
@@ -97,8 +101,8 @@ int run(bench::RunContext& ctx) {
     cfg.record_timelines = false;
     cfg.record_events = false;
     cfg.record_interval = sim::kMillisecond;
-    const auto start = std::chrono::steady_clock::now();
     sim::Network net(cfg);
+    const auto start = std::chrono::steady_clock::now();
     net.run(kParityDuration);
     unsharded.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -117,12 +121,8 @@ int run(bench::RunContext& ctx) {
     sim::shard::add_permutation_flows(topo, 1, ctx.seed);
     const auto options =
         reference_options(kCapacity / kParityFlows, kParityDuration);
-    const auto start = std::chrono::steady_clock::now();
     const auto result = sim::shard::run_fabric(topo, options, 1);
-    star.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    star.seconds = result.run_seconds;
     star.events = result.events_executed;
   }
 
@@ -185,12 +185,8 @@ int run(bench::RunContext& ctx) {
   double single_shard_eps = 0.0;
   bool digests_match = true;
   for (const int shards : counts) {
-    const auto start = std::chrono::steady_clock::now();
     const auto result = sim::shard::run_fabric(topo, options, shards);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    const double seconds = result.run_seconds;
     const double eps = seconds > 0.0 ? result.events_executed / seconds : 0.0;
     if (shards == counts.front()) {
       reference_digest = result.digest;

@@ -51,7 +51,8 @@
 #     --shards 1, 4 and 7 (more shards than a 4-CPU host has cores, on
 #     an uneven partition) and requires the shard-invariant JSON
 #     artifacts to be byte-identical (the cross-shard determinism
-#     contract, end-to-end), runs the E23 sharded_throughput bench on a
+#     contract, end-to-end), does the same for a sparse leaf-spine run
+#     whose empty epochs every shard count skips, runs the E23 sharded_throughput bench on a
 #     small configuration (the bench itself exits 1 if the digest varies
 #     with the shard count), validates BENCH_sharded_throughput.json and
 #     self-diffs it with --require-same-keys at threshold 0, and checks
@@ -513,6 +514,21 @@ cmp "$SHARD_OUT/fabric_s1.json" "$SHARD_OUT/fabric_s4.json" || {
 cmp "$SHARD_OUT/fabric_s1.json" "$SHARD_OUT/fabric_s7.json" || {
   echo "[check.sh] fabric artifact differs between --shards 1 and 7"; exit 1;
 }
+# A sparse run: at the default rate with the rate increase off (--gi 0),
+# most epochs hold no work and the engine skips them on every shard
+# count; the skip must not move the trajectory.
+SPARSE_ARGS=(--topology leaf-spine:2x4x4 --flows-per-host 3
+             --duration-us 20000 --gi 0)
+for n in 1 4 7; do
+  "$FABRIC_TOOL" "${SPARSE_ARGS[@]}" --shards "$n" \
+    --json "$SHARD_OUT/sparse_s$n.json" > /dev/null
+done
+for n in 4 7; do
+  cmp "$SHARD_OUT/sparse_s1.json" "$SHARD_OUT/sparse_s$n.json" || {
+    echo "[check.sh] sparse fabric artifact differs between --shards 1 and $n"
+    exit 1
+  }
+done
 python3 - "$SHARD_OUT/fabric_s1.json" <<'PY'
 import json, sys
 data = json.load(open(sys.argv[1]))

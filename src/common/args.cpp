@@ -82,6 +82,29 @@ int thread_count(const ArgParser& args, int fallback) {
   return fallback;
 }
 
+bool shard_count(const ArgParser& args, int* out) {
+  std::optional<std::string> text = args.get("shards");
+  if (!text) {
+    if (const char* env = std::getenv("BCN_SHARDS")) {
+      if (*env) text = env;
+    }
+  }
+  if (!text) return true;
+  const bool digits =
+      !text->empty() && text->size() <= 6 &&
+      std::all_of(text->begin(), text->end(),
+                  [](char c) { return c >= '0' && c <= '9'; });
+  if (!digits) {
+    std::fprintf(stderr,
+                 "--shards: bad shard count '%s' (expected a non-negative "
+                 "integer; 0 = all hardware threads)\n",
+                 text->c_str());
+    return false;
+  }
+  *out = std::stoi(*text);
+  return true;
+}
+
 std::vector<std::string> unknown_flags(const ArgParser& args,
                                        const std::vector<std::string>& known) {
   std::vector<std::string> unknown;

@@ -37,6 +37,15 @@ class ArgParser {
 // 0 = all hardware threads, 1 = serial (see exec::resolve_threads).
 int thread_count(const ArgParser& args, int fallback = 1);
 
+// Shard-count knob: the --shards flag, with BCN_SHARDS (when non-empty)
+// as fallback, stored in *out; *out is left untouched when neither is
+// set.  Unlike thread_count the parse is strict -- at most six decimal
+// digits, nothing else -- because a malformed shard count must be a
+// usage error, not a silent single-shard run: it prints "--shards: bad
+// shard count ..." to stderr and returns false.  0 = all hardware
+// threads, resolved by the caller.
+bool shard_count(const ArgParser& args, int* out);
+
 // Flags that were passed but are not in `known` — callers reject these
 // instead of silently ignoring a typo like --thread or --grd.
 std::vector<std::string> unknown_flags(const ArgParser& args,

@@ -77,8 +77,8 @@ class Simulator {
   bool idle() const { return heap_.empty(); }
 
   // Deadline of the earliest pending event; only meaningful when not
-  // idle().  The sharded engine's single-shard fast path peeks it to
-  // jump over empty epochs (sim/shard/engine.cpp).
+  // idle().  The sharded engine's epoch loop peeks it to jump over
+  // empty epochs (sim/shard/engine.cpp).
   SimTime next_event_time() const {
     return static_cast<SimTime>(
         static_cast<std::uint64_t>(heap_.front().key >> 64));

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -32,8 +34,9 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
 }
 
 // Sense-reversing epoch barrier.  Its acquire/release pair publishes
-// every outbox written before the barrier to every shard after it;
-// yield keeps the protocol usable when shards outnumber cores.
+// every outbox and earliest-epoch slot written before the barrier to
+// every shard after it; yield keeps the protocol usable when shards
+// outnumber cores.
 class EpochBarrier {
  public:
   explicit EpochBarrier(int parties) : parties_(parties) {}
@@ -85,10 +88,16 @@ class Shard final : public TransferSink {
   std::vector<std::vector<TransferRecord>> buckets;  // epoch ring
   std::vector<std::uint64_t> bucket_epoch;  // absolute epoch per ring slot
   std::size_t ring = 1;
-  // Cross-shard records staged in epoch e, by epoch parity and
-  // destination shard; the destination collects them at the top of e+1.
+  // Cross-shard records staged in the current step, by step parity and
+  // destination shard; the destination collects them at the top of the
+  // next step.  Steps, not epoch numbers, pick the parity: two executed
+  // epochs in a row can share one when the epochs between are skipped.
   std::array<std::vector<std::vector<TransferRecord>>, 2> outbox;
-  std::uint64_t current_epoch = 0;  // the epoch run() is in
+  SimTime outbox_earliest = 0;  // min deliver_at sent to an outbox this step
+  // This shard's earliest pending epoch after each step, by step parity;
+  // peers read it after the barrier that ends the step.
+  std::array<std::uint64_t, 2> earliest{};
+  std::uint64_t step = 0;  // epochs executed so far
   bool sense = false;
   std::uint64_t staged = 0;
   std::uint64_t cross = 0;
@@ -105,7 +114,8 @@ class Shard final : public TransferSink {
       return;
     }
     ++cross;
-    outbox[current_epoch & 1][dst].push_back(record);
+    outbox_earliest = std::min(outbox_earliest, record.deliver_at);
+    outbox[step & 1][dst].push_back(record);
   }
 
   std::vector<TransferRecord>& bucket_of(SimTime deliver_at) {
@@ -118,13 +128,13 @@ class Shard final : public TransferSink {
     return buckets[slot];
   }
 
-  // Takes every peer's records staged for this shard in epoch e-1.
-  // Race-free without atomics: peers write the other parity during
-  // epoch e and cannot write this one again before the barrier that
-  // ends e, which this shard reaches only after collecting.
-  void collect(std::uint64_t e) {
+  // Takes every peer's records staged for this shard in the previous
+  // step.  Race-free without atomics: peers write the other parity during
+  // this step and cannot write this one again before the barrier that
+  // ends it, which this shard reaches only after collecting.
+  void collect() {
     for (Shard* peer : shared->shards) {
-      std::vector<TransferRecord>& box = peer->outbox[(e - 1) & 1][index];
+      std::vector<TransferRecord>& box = peer->outbox[(step - 1) & 1][index];
       for (const TransferRecord& record : box) {
         bucket_of(record.deliver_at).push_back(record);
       }
@@ -191,27 +201,17 @@ class Shard final : public TransferSink {
     }
   }
 
+  // The one epoch loop, for every shard count (engine.h): each step runs
+  // an epoch, publishes this shard's earliest pending epoch, and jumps
+  // past the barrier to the minimum over every shard's slot.
   void run() {
-    for (std::uint64_t e = 0; e < shared->total_epochs; ++e) {
-      current_epoch = e;
-      if (e > 0) collect(e);
-      run_epoch(e);
-      shared->barrier->arrive_and_wait(&sense);
-    }
-  }
-
-  // Single-shard fast path: no outbox, no barrier, and empty epochs are
-  // skipped wholesale by peeking the next event deadline and the pending
-  // buckets.  Skips are clamped to the next sample boundary, and nothing
-  // observable happens in a skipped epoch, so the trajectory (and the
-  // digest) match the barrier loop exactly.
-  void run_single() {
-    const std::uint64_t q = static_cast<std::uint64_t>(shared->quantum);
+    const auto q = static_cast<std::uint64_t>(shared->quantum);
     const std::uint64_t se = shared->sample_every_epochs;
-    const std::uint64_t total = shared->total_epochs;
-    for (std::uint64_t e = 0; e < total;) {
+    for (std::uint64_t e = 0; e < shared->total_epochs; ++step) {
+      collect();  // nothing to take at step 0
+      outbox_earliest = std::numeric_limits<SimTime>::max();
       run_epoch(e);
-      std::uint64_t next = total;
+      std::uint64_t next = ((e + 1) / se + 1) * se - 1;  // sample boundary
       if (!sim.idle()) {
         next = std::min(
             next, static_cast<std::uint64_t>(sim.next_event_time()) / q);
@@ -219,7 +219,12 @@ class Shard final : public TransferSink {
       for (std::size_t i = 0; i < ring; ++i) {
         if (!buckets[i].empty()) next = std::min(next, bucket_epoch[i]);
       }
-      next = std::min(next, ((e + 1) / se + 1) * se - 1);  // sample boundary
+      next = std::min(next, static_cast<std::uint64_t>(outbox_earliest) / q);
+      earliest[step & 1] = next;
+      shared->barrier->arrive_and_wait(&sense);
+      for (const Shard* peer : shared->shards) {
+        next = std::min(next, peer->earliest[step & 1]);
+      }
       e = std::max(e + 1, next);
     }
   }
@@ -339,21 +344,31 @@ FabricResult run_fabric(const Topology& topo, const FabricOptions& options,
   }
 
   // --- run ----------------------------------------------------------------
+  // Only the epoch loop is timed: partition, shard build and pool start
+  // are setup, not simulation.
+  std::chrono::steady_clock::time_point start;
   if (S == 1) {
-    shards[0]->run_single();
+    start = std::chrono::steady_clock::now();
+    shards[0]->run();
   } else {
     exec::ThreadPool pool(S, /*pin_to_core=*/true);
+    start = std::chrono::steady_clock::now();
     for (int s = 0; s < S; ++s) {
       Shard* shard = shards[static_cast<std::size_t>(s)].get();
       pool.submit([shard] { shard->run(); });
     }
     pool.wait_idle();
   }
+  const double run_seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
 
   // --- deterministic merge (single-threaded, gid order) -------------------
   FabricResult result;
   result.shards = S;
   result.epochs = shared.total_epochs;
+  result.executed_epochs = shards[0]->step;
+  result.run_seconds = run_seconds;
 
   std::vector<const FabricPort*> port_by_gid(P, nullptr);
   std::vector<const FabricSource*> source_by_flow(F, nullptr);

@@ -21,11 +21,23 @@
 // trajectory digest are bitwise-identical for every shard count,
 // including 1.  tests/sim/shard_determinism_test.cpp pins this.
 //
-// A cross-shard record staged in epoch e goes to the producer's outbox
-// for its destination, one plain vector per (epoch parity, destination);
-// the destination appends it to its staging buckets at the top of epoch
-// e+1, while producers write the other parity.  The barrier orders the
-// whole exchange, so it needs no lock or atomic of its own.
+// One loop runs every shard count, 1 included, and skips empty epochs.
+// Each executed epoch is one step.  After a step every shard publishes
+// the earliest epoch holding work it knows of: its heap's next event,
+// its non-empty staging buckets, and the records it sent to outboxes in
+// the step, clamped to the next sample boundary.  After the barrier all
+// shards jump to the same minimum over those slots, so they execute the
+// same epochs, and the same ones on every shard count.  Nothing
+// observable happens in a skipped epoch.  A dense run never skips; a
+// sparse one stops paying a barrier per empty epoch.
+//
+// A cross-shard record staged in a step goes to the producer's outbox
+// for its destination, one plain vector per (step parity, destination);
+// the destination appends it to its staging buckets at the top of the
+// next step, while producers write the other parity.  The parity is the
+// step's, not the epoch's: two executed epochs in a row can share an
+// epoch parity when the epochs between them are skipped.  The barrier
+// orders the whole exchange, so it needs no lock or atomic of its own.
 //
 // Observability is per-shard and merged deterministically after the
 // join: counters sum; queue-occupancy series add exactly (queue bits
@@ -88,6 +100,12 @@ struct FabricResult {
   std::uint64_t staged_records = 0;
   std::uint64_t cross_shard_records = 0;
   int shards = 1;
+  // Epochs the loop executed rather than skipped (shard-invariant, but
+  // a property of the engine, not of the trajectory) and the wall
+  // seconds of the loop alone, without partition, build or pool start.
+  // Both are excluded from digest and artifacts.
+  std::uint64_t executed_epochs = 0;
+  double run_seconds = 0.0;
 
   std::vector<double> trace_queue;  // trace-port occupancy per sample
   std::vector<double> total_queue;  // fabric-wide occupancy per sample

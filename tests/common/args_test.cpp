@@ -1,6 +1,8 @@
 #include "common/args.h"
 
 #include <cstdlib>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +106,43 @@ TEST_F(ThreadCountTest, InvalidValuesFallBack) {
   EXPECT_EQ(thread_count(parse({"--threads", "4x"}), 2), 2);
   setenv("BCN_THREADS", "garbage", 1);
   EXPECT_EQ(thread_count(parse({}), 2), 2);
+}
+
+class ShardCountTest : public ::testing::Test {
+ protected:
+  void SetUp() override { unsetenv("BCN_SHARDS"); }
+  void TearDown() override { unsetenv("BCN_SHARDS"); }
+};
+
+TEST_F(ShardCountTest, AcceptsDecimalDigits) {
+  for (const auto& [text, want] :
+       {std::pair{"0", 0}, std::pair{"7", 7}, std::pair{"123456", 123456}}) {
+    int shards = -1;
+    EXPECT_TRUE(shard_count(parse({"--shards", text}), &shards)) << text;
+    EXPECT_EQ(shards, want) << text;
+  }
+}
+
+TEST_F(ShardCountTest, RejectsMalformedValues) {
+  for (const char* text : {"", "-1", "4x", "bogus", "1234567"}) {
+    int shards = 3;
+    const std::string flag = std::string("--shards=") + text;
+    EXPECT_FALSE(shard_count(parse({flag.c_str()}), &shards)) << text;
+    EXPECT_EQ(shards, 3) << text;
+  }
+}
+
+TEST_F(ShardCountTest, EnvFallbackIsStrictToo) {
+  int shards = 1;
+  EXPECT_TRUE(shard_count(parse({}), &shards));
+  EXPECT_EQ(shards, 1);  // neither set: untouched
+  setenv("BCN_SHARDS", "5", 1);
+  EXPECT_TRUE(shard_count(parse({}), &shards));
+  EXPECT_EQ(shards, 5);
+  EXPECT_TRUE(shard_count(parse({"--shards", "2"}), &shards));
+  EXPECT_EQ(shards, 2);  // flag beats env
+  setenv("BCN_SHARDS", "4x", 1);
+  EXPECT_FALSE(shard_count(parse({}), &shards));
 }
 
 TEST(UnknownFlagsTest, FindsTyposOnly) {

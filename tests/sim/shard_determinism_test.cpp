@@ -1,8 +1,8 @@
 // THE cross-shard determinism contract (sim/shard/engine.h): the FNV-1a
 // trajectory digest of a fabric run is bitwise-identical for every shard
-// count, including the single-shard idle-skip fast path and a shard
-// count that divides nothing evenly (7), and equal to the constants
-// pinned for two small fabrics.  Also pins that the digest
+// count, including one and a shard count that divides nothing evenly
+// (7), and equal to the constants pinned for two small fabrics and for
+// sparse runs whose empty epochs are skipped.  Also pins that the digest
 // reacts to parameter changes (it is not a constant), that armed
 // per-shard monitors neither perturb the trajectory nor lose their
 // merged counts across shard counts, and that repeated runs are
@@ -143,6 +143,58 @@ TEST(ShardDeterminismTest, DigestInvariantAtEpochEdgeHorizons) {
       if (duration > 2 * quantum) {
         EXPECT_GT(result.cross_shard_records, 0u)
             << "duration=" << duration << " shards=" << shards;
+      }
+    }
+  }
+}
+
+// Sparse runs at 5e7 b/s, where most epochs hold no work and the loop
+// skips them on every shard count.  In the first, the rate increase is
+// off (gi = 0), so frames come in bursts a pacing period apart for the
+// whole 20 ms; left on, positive feedback ramps every flow to line rate
+// within about 340 us, after which no epoch is empty.  The second is
+// the ramp's start on a larger fabric, where on 3 and 7 shards a
+// cross-shard record can be the only pending work: a skip that ignored
+// the outboxes would jump past it.  The digests and counts are the
+// constants of the loop that ran every epoch, and the executed epochs
+// are the same on every shard count.
+TEST(ShardDeterminismTest, SparseRunsSkipEpochsOnEveryShardCount) {
+  struct Sparse {
+    const char* spec;
+    int rounds;
+    double gi;
+    SimTime duration;
+    std::uint64_t digest;
+    std::uint64_t events_executed;
+    std::uint64_t staged_records;
+  };
+  for (const Sparse& run :
+       {Sparse{"leaf-spine:2x4x4", 3, 0.0, 20 * kMillisecond,
+               0x5831465ed6d43b3aull, 26565u, 12285u},
+        Sparse{"leaf-spine:4x8x8", 2, 0.5, 500 * kMicrosecond,
+               0xd928fd745d0d9abcull, 7778u, 3682u}}) {
+    const Topology topo = fabric(run.spec, run.rounds);
+    FabricOptions options = active_options();
+    options.initial_rate = 5e7;
+    options.regulator.gi = run.gi;
+    options.duration = run.duration;
+    const FabricResult reference = run_fabric(topo, options, 1);
+    ASSERT_GT(reference.bcn_sent, 0u) << run.spec;
+    EXPECT_LT(reference.executed_epochs, reference.epochs / 2) << run.spec;
+    for (const int shards : {1, 2, 3, 7}) {
+      const FabricResult result = run_fabric(topo, options, shards);
+      EXPECT_EQ(result.digest, run.digest)
+          << run.spec << " shards=" << shards << std::hex << " digest=0x"
+          << result.digest;
+      EXPECT_EQ(result.events_executed, run.events_executed)
+          << run.spec << " shards=" << shards;
+      EXPECT_EQ(result.staged_records, run.staged_records)
+          << run.spec << " shards=" << shards;
+      EXPECT_EQ(result.executed_epochs, reference.executed_epochs)
+          << run.spec << " shards=" << shards;
+      if (shards > 1) {
+        EXPECT_GT(result.cross_shard_records, 0u)
+            << run.spec << " shards=" << shards;
       }
     }
   }

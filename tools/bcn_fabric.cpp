@@ -16,9 +16,7 @@
 //
 // Exit codes: 0 ok, 2 usage error (unknown flag, malformed topology
 // spec or shard count), 3 when armed monitors recorded a violation.
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/args.h"
@@ -53,19 +51,6 @@ void usage() {
       "  --json file   write the shard-invariant artifact there");
 }
 
-// ArgParser::get_int silently falls back on garbage; a malformed shard
-// count must fail loudly with the usage exit code.
-bool parse_shards(const std::string& text, int* out) {
-  if (text.empty() || text.size() > 6) return false;
-  int value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-  }
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -91,21 +76,7 @@ int main(int argc, char** argv) {
   }
 
   int shards = 1;
-  {
-    std::optional<std::string> text = args.get("shards");
-    if (!text) {
-      if (const char* env = std::getenv("BCN_SHARDS")) {
-        if (*env) text = env;
-      }
-    }
-    if (text && !parse_shards(*text, &shards)) {
-      std::fprintf(stderr,
-                   "--shards: bad shard count '%s' (expected a non-negative "
-                   "integer; 0 = all hardware threads)\n",
-                   text->c_str());
-      return 2;
-    }
-  }
+  if (!shard_count(args, &shards)) return 2;
   if (shards == 0) shards = exec::resolve_threads(0);
 
   const int rounds = args.get_int("flows-per-host", 2);
@@ -147,22 +118,23 @@ int main(int argc, char** argv) {
   std::printf("shards: %d (%zu cut route segments)\n", shards,
               part.cut_edges);
 
-  const auto start = std::chrono::steady_clock::now();
   const sim::shard::FabricResult result =
       sim::shard::run_fabric(topo, options, shards);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
 
   std::printf(
-      "ran %llu epochs, %llu events in %.3f s (%.2f M events/s)\n"
+      "ran %llu epochs (%llu executed), %llu events in %.3f s "
+      "(%.2f M events/s)\n"
       "  frames: sent %llu, forwarded %llu, delivered %llu, dropped %llu\n"
       "  feedback: %llu samples, %llu BCN; staged %llu handoffs "
       "(%llu cross-shard)\n"
       "  digest: %016llx\n",
       static_cast<unsigned long long>(result.epochs),
-      static_cast<unsigned long long>(result.events_executed), wall,
-      wall > 0.0 ? result.events_executed / wall / 1e6 : 0.0,
+      static_cast<unsigned long long>(result.executed_epochs),
+      static_cast<unsigned long long>(result.events_executed),
+      result.run_seconds,
+      result.run_seconds > 0.0
+          ? result.events_executed / result.run_seconds / 1e6
+          : 0.0,
       static_cast<unsigned long long>(result.frames_sent),
       static_cast<unsigned long long>(result.frames_forwarded),
       static_cast<unsigned long long>(result.frames_delivered),
