@@ -52,10 +52,12 @@
 #     an uneven partition) and requires the shard-invariant JSON
 #     artifacts to be byte-identical (the cross-shard determinism
 #     contract, end-to-end), does the same for a sparse leaf-spine run
-#     whose empty epochs every shard count skips, runs the E23 sharded_throughput bench on a
-#     small configuration (the bench itself exits 1 if the digest varies
-#     with the shard count), validates BENCH_sharded_throughput.json and
-#     self-diffs it with --require-same-keys at threshold 0, and checks
+#     whose empty epochs every shard count skips, runs the E23
+#     sharded_throughput bench on fat-tree:8 (4 flows/host, 1000 us:
+#     enough events for its Mev/s lines to time the loop; the bench
+#     itself exits 1 if the digest varies with the shard count),
+#     validates BENCH_sharded_throughput.json and self-diffs it with
+#     --require-same-keys at threshold 0, and checks
 #     --shards bogus is rejected with exit 2.  (The shard determinism
 #     tests already ran under TSan in gate 1 as part of bcn_sim_tests.)
 #     Speedups are reported, deliberately not gated: they depend on the
@@ -493,7 +495,7 @@ echo "[check.sh] monitor smoke clean ($MON_BUNDLE)"
 # The partitioned conservative engine end-to-end.  bcn_fabric's JSON
 # artifact contains only shard-count-invariant quantities, so `cmp`
 # across shard counts IS the determinism check; the E23 bench then runs
-# its own digest gate across {1, 2, 4, 8} shards on a small fabric.
+# its own digest gate across {1, 2, 4, 8} shards on fat-tree:8.
 cmake --build "$SMOKE_BUILD_DIR" -j --target bcn_fabric sharded_throughput
 
 FABRIC_TOOL="$SMOKE_BUILD_DIR"/tools/bcn_fabric
@@ -544,9 +546,11 @@ print(f"[check.sh] fabric artifact invariant across shards: "
       f"{data['bcn_sent']:.0f} BCN")
 PY
 
+# fat-tree:8, 4 flows/host, 1000 us: ~678k events per shard count, so
+# the Mev/s lines time the loop rather than the clock.
 "$SMOKE_BUILD_DIR"/bench/sharded_throughput --run sharded_throughput \
-  --out "$SHARD_OUT" --topology fat-tree:4 --flows-per-host 2 \
-  --duration-us 400 > /dev/null || {
+  --out "$SHARD_OUT" --topology fat-tree:8 --flows-per-host 4 \
+  --duration-us 1000 > /dev/null || {
   echo "[check.sh] sharded_throughput failed (digest gate?)"; exit 1;
 }
 

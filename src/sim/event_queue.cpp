@@ -5,7 +5,6 @@
 
 #include "common/log.h"
 #include "obs/metrics.h"
-#include "obs/tracing.h"
 
 namespace bcn::sim {
 
@@ -219,67 +218,8 @@ EventId Simulator::arm(EventId id, SimTime when, EventTarget* target,
 // --- dispatch ------------------------------------------------------------
 
 std::size_t Simulator::run_until(SimTime until) {
-  // One span per drain batch: args carry the simulated horizon and the
-  // number of events executed inside it.
-  obs::TraceSpan span("sim.run_until", "until_ns",
-                      static_cast<double>(until));
-  std::size_t ran = 0;
-  const unsigned __int128 limit = make_key(until, ~0ull);
-  while (!heap_.empty()) {
-    if (heap_[0].key > limit) break;
-    const std::uint32_t top = heap_[0].slot;
-
-    // Fire in place: the root entry stays in the heap while its handler
-    // runs.  Anything the handler schedules gets a later (when, seq) key,
-    // so the firing entry keeps the root spot; a handler that re-arms its
-    // own timer turns the usual pop + push into one in-place sift.
-    firing_slot_ = top;
-    now_ = slots_[top].when;
-    const std::uint64_t fired_seq = slots_[top].seq;
-    const std::uint32_t fired_gen = slots_[top].generation;
-    ++executed_;
-    ++ran;
-
-    // Stack copy of the dispatch view: handlers may schedule freely (which
-    // can grow the slab and invalidate Slot references).  Only the active
-    // payload member is copied.
-    SimEvent event;
-    event.kind = slots_[top].kind;
-    event.tag = slots_[top].tag;
-    event.id = make_id(top, fired_gen);
-    switch (event.kind) {
-      case EventKind::FrameArrival:
-        event.payload.frame = slots_[top].payload.frame;
-        break;
-      case EventKind::BcnDelivery:
-        event.payload.bcn = slots_[top].payload.bcn;
-        break;
-      case EventKind::PauseDelivery:
-      case EventKind::PauseExpiry:
-        event.payload.pause = slots_[top].payload.pause;
-        break;
-      default:
-        break;
-    }
-    slots_[top].target->on_event(event);
-
-    firing_slot_ = -1;
-    // Unless the handler re-armed (fresh seq) or cancelled (fresh
-    // generation) the fired event, retire it now.
-    if (slots_[top].generation == fired_gen && slots_[top].seq == fired_seq) {
-      const std::int32_t at = slots_[top].heap_index;
-      if (at == 0) {
-        pop_root();
-      } else {
-        heap_remove(at);  // defensive: the root spot should be retained
-      }
-      release_slot(top);
-    }
-  }
-  now_ = std::max(now_, until);
-  span.arg("events", static_cast<double>(ran));
-  span.arg("heap_hwm", static_cast<double>(heap_high_water_));
-  return ran;
+  NoStream none;
+  return run_until(until, none);
 }
 
 // --- metrics -------------------------------------------------------------

@@ -14,13 +14,19 @@
 //   * Recurring timers re-arm their own slot via reschedule() (valid from
 //     inside the handler), keeping one slot per timer for the lifetime of
 //     the simulation instead of allocating a fresh event every tick.
+//   * A caller may also hand run_until() a sorted stream of external
+//     events (the sharded engine's staged hand-offs).  The pending set is
+//     then the heap plus that stream: one dispatch loop merges the two,
+//     and stream events never take a slot or a heap entry.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/log.h"
+#include "obs/tracing.h"
 #include "sim/event.h"
 #include "sim/time.h"
 
@@ -72,8 +78,27 @@ class Simulator {
   // Returns the number of events executed.  Advances now() to `until`.
   std::size_t run_until(SimTime until);
 
+  // run_until() that also dispatches a caller-owned stream of external
+  // events, merged with the heap in the same loop.  The stream yields its
+  // events in nondecreasing deadline order through
+  //   bool done() const;                  // no event left
+  //   SimTime when() const;               // the next event's deadline
+  //   EventTarget* take(SimEvent& event); // fills the next event's kind,
+  //                                       // tag and payload, advances,
+  //                                       // returns its target
+  // and is left positioned at its first event due after `until`.  The
+  // order is exactly as if every stream event had been scheduled, in
+  // stream order, right before the call: at an equal deadline a stream
+  // event fires after every event already pending and before every event
+  // scheduled during the run.  Stream events count in executed() and
+  // advance now(); a deadline before now() is clamped and counted as
+  // schedule_* does; handlers see id == kInvalidEvent.
+  template <class Stream>
+  std::size_t run_until(SimTime until, Stream& stream);
+
   // True when no live events remain.  (The firing event stays in the heap
-  // while its handler runs, so an empty heap means fully idle.)
+  // while its handler runs, so an empty heap means fully idle; a
+  // caller's stream is the caller's to check.)
   bool idle() const { return heap_.empty(); }
 
   // Deadline of the earliest pending event; only meaningful when not
@@ -105,6 +130,14 @@ class Simulator {
 
  private:
   static constexpr std::int32_t kSlotFree = -1;
+
+  // The stream of a plain run_until(): the stream branch of the dispatch
+  // loop folds away.
+  struct NoStream {
+    bool done() const { return true; }
+    SimTime when() const { return 0; }
+    EventTarget* take(SimEvent&) { return nullptr; }
+  };
 
   struct Slot {
     SimTime when = 0;
@@ -160,12 +193,97 @@ class Simulator {
   // Counts every clamped deadline; allows the first few log lines.
   LogRateLimit clamp_warnings_{5};
   std::size_t heap_high_water_ = 0;
-  std::int64_t firing_slot_ = -1;  // slot being dispatched, else -1
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;
 };
+
+// --- dispatch ------------------------------------------------------------
+
+template <class Stream>
+std::size_t Simulator::run_until(SimTime until, Stream& stream) {
+  // One span per drain batch: args carry the simulated horizon, the
+  // number of events executed inside it and how many of those came from
+  // the stream rather than the heap.
+  obs::TraceSpan span("sim.run_until", "until_ns",
+                      static_cast<double>(until));
+  std::size_t ran = 0;
+  std::size_t staged = 0;
+  const unsigned __int128 limit = make_key(until, ~0ull);
+  // Every stream event ranks with the seq the next schedule_* call would
+  // have drawn: after each pending event, before each one scheduled
+  // during the run.  Sharing one seq keeps the stream's own order.
+  const std::uint64_t stream_seq = next_seq_;
+  while (true) {
+    if (!stream.done()) {
+      const SimTime due = stream.when();
+      const unsigned __int128 key = make_key(std::max(due, now_), stream_seq);
+      if (key <= limit && (heap_.empty() || key <= heap_[0].key)) {
+        now_ = due >= now_ ? due : clamp_deadline(due);
+        ++executed_;
+        ++ran;
+        ++staged;
+        SimEvent event;
+        EventTarget* target = stream.take(event);
+        target->on_event(event);
+        continue;
+      }
+    }
+    if (heap_.empty() || heap_[0].key > limit) break;
+    const std::uint32_t top = heap_[0].slot;
+
+    // Fire in place: the root entry stays in the heap while its handler
+    // runs.  Anything the handler schedules gets a later (when, seq) key,
+    // so the firing entry keeps the root spot; a handler that re-arms its
+    // own timer turns the usual pop + push into one in-place sift.
+    now_ = slots_[top].when;
+    const std::uint64_t fired_seq = slots_[top].seq;
+    const std::uint32_t fired_gen = slots_[top].generation;
+    ++executed_;
+    ++ran;
+
+    // Stack copy of the dispatch view: handlers may schedule freely (which
+    // can grow the slab and invalidate Slot references).  Only the active
+    // payload member is copied.
+    SimEvent event;
+    event.kind = slots_[top].kind;
+    event.tag = slots_[top].tag;
+    event.id = make_id(top, fired_gen);
+    switch (event.kind) {
+      case EventKind::FrameArrival:
+        event.payload.frame = slots_[top].payload.frame;
+        break;
+      case EventKind::BcnDelivery:
+        event.payload.bcn = slots_[top].payload.bcn;
+        break;
+      case EventKind::PauseDelivery:
+      case EventKind::PauseExpiry:
+        event.payload.pause = slots_[top].payload.pause;
+        break;
+      default:
+        break;
+    }
+    slots_[top].target->on_event(event);
+
+    // Unless the handler re-armed (fresh seq) or cancelled (fresh
+    // generation) the fired event, retire it now.
+    if (slots_[top].generation == fired_gen && slots_[top].seq == fired_seq) {
+      const std::int32_t at = slots_[top].heap_index;
+      if (at == 0) {
+        pop_root();
+      } else {
+        heap_remove(at);  // defensive: the root spot should be retained
+      }
+      release_slot(top);
+    }
+  }
+  now_ = std::max(now_, until);
+  span.arg("events", static_cast<double>(ran));
+  span.arg("heap_hwm", static_cast<double>(heap_high_water_));
+  span.arg("staged", static_cast<double>(staged));
+  return ran;
+}
 
 // A precomputed forwarding hop: schedules its payload as a typed event to
 // a fixed target after a fixed delay.  The only way an entity emits: the

@@ -60,6 +60,24 @@ class EpochBarrier {
   std::atomic<bool> sense_{false};
 };
 
+// A sorted epoch bucket as Simulator::run_until's stream of external
+// events (event_queue.h): each record is dispatched straight from the
+// bucket to its destination entity, never through the heap.
+struct BucketStream {
+  const TransferRecord* next;
+  const TransferRecord* end;
+  EventTarget* const* targets;  // by gid
+
+  bool done() const { return next == end; }
+  SimTime when() const { return next->deliver_at; }
+  EventTarget* take(SimEvent& event) {
+    const TransferRecord& record = *next++;
+    event.kind = record.kind;
+    event.payload = record.payload;
+    return targets[record.dst_gid];
+  }
+};
+
 class Shard;
 
 struct Shared {
@@ -142,27 +160,6 @@ class Shard final : public TransferSink {
     }
   }
 
-  // Canonical injection: the epoch's records sorted by the shard-
-  // invariant key, so the Simulator's FIFO tie-break reproduces the same
-  // global order on every shard count.
-  void inject(std::uint64_t epoch) {
-    std::vector<TransferRecord>& bucket = buckets[epoch % ring];
-    if (bucket.empty()) return;
-    if (bucket.size() > 1) {
-      std::sort(bucket.begin(), bucket.end(), transfer_before);
-    }
-    for (const TransferRecord& record : bucket) {
-      EventTarget* target = shared->targets[record.dst_gid];
-      if (record.kind == EventKind::FrameArrival) {
-        sim.schedule_frame(record.deliver_at, target, 0,
-                           record.payload.frame);
-      } else {
-        sim.schedule_bcn(record.deliver_at, target, 0, record.payload.bcn);
-      }
-    }
-    bucket.clear();
-  }
-
   void sample(std::uint64_t sample_index, SimTime t) {
     double sum = 0.0;
     for (const FabricPort& port : ports) sum += port.queue_bits();
@@ -189,10 +186,18 @@ class Shard final : public TransferSink {
     }
   }
 
+  // Runs epoch e with its bucket sorted by the shard-invariant key
+  // (deliver_at, src_gid, src_seq) as the Simulator's staged stream, so
+  // the merge reproduces one global order on every shard count.  Records
+  // staged meanwhile deliver in later epochs, hence other ring slots.
   void run_epoch(std::uint64_t e) {
     const SimTime q = shared->quantum;
-    inject(e);
-    sim.run_until(static_cast<SimTime>(e + 1) * q - 1);
+    std::vector<TransferRecord>& bucket = buckets[e % ring];
+    std::sort(bucket.begin(), bucket.end(), transfer_before);
+    BucketStream stream{bucket.data(), bucket.data() + bucket.size(),
+                        shared->targets.data()};
+    sim.run_until(static_cast<SimTime>(e + 1) * q - 1, stream);
+    bucket.clear();
     if ((e + 1) % shared->sample_every_epochs == 0) {
       const std::uint64_t s = (e + 1) / shared->sample_every_epochs - 1;
       if (s < shared->total_samples) {

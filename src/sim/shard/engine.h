@@ -3,8 +3,11 @@
 // One Simulator shard per worker thread, each owning a topology
 // partition (ports + the sources homed at their ingress edge).  Time
 // advances in epochs of a fixed quantum Q; within an epoch every shard
-// runs its own event heap -- the unchanged zero-alloc fast path -- and
-// all inter-entity handoffs are staged as TransferRecords.  Shards
+// runs its own Simulator, and all inter-entity handoffs are staged as
+// TransferRecords.  The heap holds only the entities' own timers (pacing
+// tokens, departures); each epoch's staged records are sorted and handed
+// to Simulator::run_until as a stream that the one dispatch loop merges
+// with the heap, so they never take a pool slot or a heap entry.  Shards
 // synchronize at epoch boundaries with a sense-reversing barrier; no
 // null messages are exchanged, because the lookahead is structural:
 // every handoff travels at least one link, so a record staged during
@@ -16,10 +19,13 @@
 // to the minimum *cross-shard* delay, which would change with the
 // partition and silently re-bucket handoffs.  With uniform-delay
 // generators the two coincide, so nothing is lost; what is gained is
-// that epoch boundaries, staging buckets, the canonical injection order
+// that epoch boundaries, staging buckets, the canonical stream order
 // (sorted by (deliver_at, src_gid, src_seq)), and therefore the FNV-1a
 // trajectory digest are bitwise-identical for every shard count,
-// including 1.  tests/sim/shard_determinism_test.cpp pins this.
+// including 1.  The merge orders a staged record exactly as if it had
+// been scheduled at the start of its epoch: after the timers already
+// pending at its instant, before those armed during the epoch.
+// tests/sim/shard_determinism_test.cpp pins this.
 //
 // One loop runs every shard count, 1 included, and skips empty epochs.
 // Each executed epoch is one step.  After a step every shard publishes

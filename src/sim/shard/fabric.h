@@ -4,14 +4,15 @@
 // The determinism contract: an entity NEVER schedules an event on
 // another entity directly.  Every inter-entity handoff -- frame hop,
 // reverse-path BCN -- is staged as a TransferRecord through its shard's
-// TransferSink, and the engine injects each epoch's records into the
-// owning shard's Simulator in the canonical order sorted by
-// (deliver_at, src_gid, src_seq).  That key is a pure function of the
-// workload, so the injected order -- and therefore every FIFO tie-break
-// inside any Simulator -- is identical for every shard count, including
-// the degenerate single-shard run.  Intra-entity timers (service
-// completions, pacing tokens) go straight into the local Simulator; they
-// touch only their owner's state, so their interleaving is irrelevant.
+// TransferSink, and the engine hands each epoch's records to the owning
+// shard's Simulator as a stream sorted by (deliver_at, src_gid,
+// src_seq), which its dispatch loop merges with the heap.  That key is a
+// pure function of the workload, so the delivery order -- and therefore
+// every tie-break inside any Simulator -- is identical for every shard
+// count, including the degenerate single-shard run.  Intra-entity timers
+// (service completions, pacing tokens) go straight into the local
+// Simulator's heap; they touch only their owner's state, so their
+// interleaving is irrelevant.
 //
 // Fabric ports implement the paper's baseline congestion point: drop-tail
 // FIFO, deterministic 1/pm arrival sampling, sigma per eq. (1), BCN of
@@ -75,7 +76,7 @@ struct FabricPortCounters {
 
 // A directional output port: FIFO drop-tail queue draining at the link
 // capacity, sampling + BCN per the paper's congestion point.  Receives
-// injected FrameArrival events and its own FrameDeparture timer.
+// staged FrameArrival events and its own FrameDeparture timer.
 class FabricPort final : public EventTarget {
  public:
   void init(Simulator* sim, TransferSink* sink, const Topology* topo,
@@ -128,7 +129,7 @@ class FabricPort final : public EventTarget {
 
 // One flow's sending host: a paced token loop over a RateRegulator
 // running the fluid-matched BCN reaction law.  Receives its own
-// SourceToken timer and injected BcnDelivery events.
+// SourceToken timer and staged BcnDelivery events.
 class FabricSource final : public EventTarget {
  public:
   void init(Simulator* sim, TransferSink* sink, const Topology* topo,

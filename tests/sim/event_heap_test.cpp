@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "recording_target.h"
 #include "sim/event_queue.h"
+#include "staged_stream.h"
 
 namespace bcn::sim {
 namespace {
@@ -229,20 +230,21 @@ TEST(EventHeapTest, RandomizedOrderIsNondecreasingWithFifoTieBreak) {
   }
 }
 
+// A sink that only counts: the recording target's own vector growth must
+// not be attributed to the scheduler.
+class CountingTarget : public EventTarget {
+ public:
+  void on_event(const SimEvent&) override { ++count_; }
+  std::uint64_t count() const { return count_; }
+
+ private:
+  std::uint64_t count_ = 0;
+};
+
 // The tentpole's allocation guarantee: once the pool is warm, scheduling
 // and dispatching typed events performs no heap allocation at all.
 TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
   Simulator sim;
-  // A sink that only counts: the recording target's own vector growth must
-  // not be attributed to the scheduler.
-  class CountingTarget : public EventTarget {
-   public:
-    void on_event(const SimEvent&) override { ++count_; }
-    std::uint64_t count() const { return count_; }
-
-   private:
-    std::uint64_t count_ = 0;
-  };
   CountingTarget rec;
   Frame frame;
   frame.size_bits = 12000.0;
@@ -270,6 +272,40 @@ TEST(EventHeapTest, SteadyStateTypedEventsAllocateNothing) {
   EXPECT_TRUE(sim.idle());
   EXPECT_EQ(g_alloc_count.load(), 0u);
   EXPECT_EQ(rec.count(), 64u + 1000u * 33u);
+}
+
+// The same guarantee on the staged-stream path: a caller's sorted stream,
+// merged with a re-armed timer, takes no slot and allocates nothing.
+TEST(EventHeapTest, SteadyStateStagedStreamAllocatesNothing) {
+  Simulator sim;
+  CountingTarget rec;
+  Frame frame;
+  frame.size_bits = 12000.0;
+  std::vector<StagedEvent> staged(32);
+  for (StagedEvent& e : staged) {
+    e.target = &rec;
+    e.payload.frame = frame;
+  }
+  EventId timer = kInvalidEvent;
+  const auto run_round = [&] {
+    const SimTime base = sim.now();
+    for (std::size_t i = 0; i < staged.size(); ++i) {
+      staged[i].when = base + 1 + static_cast<SimTime>(i) / 5;
+    }
+    timer = sim.arm(timer, base + 3, &rec, EventKind::Tick, 1);
+    StagedStream stream(staged);
+    sim.run_until(base + 10, stream);
+  };
+  run_round();  // warm-up: the timer's slot and the heap array
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  for (int round = 0; round < 1000; ++round) run_round();
+  g_count_allocs.store(false);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+  EXPECT_EQ(rec.count(), 1001u * 33u);
+  EXPECT_EQ(sim.pool_slots(), 1u);
 }
 
 TEST(EventHeapTest, PastDeadlineClampsAndCounts) {
